@@ -105,7 +105,8 @@ void BlockStorageApp::InstallStorageNode(ServiceEndpoint* ep, int shard,
         if (payload.is_ref()) {
           auto region = co_await ep->dmrpc()->Map(payload);
           if (!region.ok()) co_return ErrorResp();
-          incoming.region = std::move(*region);
+          incoming.region =
+              std::make_shared<core::MappedRegion>(std::move(*region));
         } else {
           incoming.bytes = payload.inline_data();
           co_await ep->ComputeBytes(incoming.bytes.size(), 100.0);  // copy
@@ -114,7 +115,7 @@ void BlockStorageApp::InstallStorageNode(ServiceEndpoint* ep, int shard,
         NodeState& state = node_state_[{shard, pos}];
         auto key = std::make_pair(volume, lba);
         auto it = state.blocks.find(key);
-        core::MappedRegion old_region;
+        std::shared_ptr<core::MappedRegion> old_region;
         if (it == state.blocks.end()) {
           state.blocks.emplace(key, std::move(incoming));
           blocks_stored_++;
@@ -122,12 +123,13 @@ void BlockStorageApp::InstallStorageNode(ServiceEndpoint* ep, int shard,
           // Newer write wins; the old mapping is dropped below.
           old_region = std::move(it->second.region);
           it->second = std::move(incoming);
-        } else if (incoming.region.valid()) {
+        } else if (incoming.region != nullptr) {
           // Stale write (reordered behind a newer one): drop our mapping.
           old_region = std::move(incoming.region);
         }
-        if (old_region.valid()) {
-          (void)co_await old_region.Close();
+        // A read still minting a Ref over the old mapping closes it.
+        if (old_region != nullptr && old_region.use_count() == 1) {
+          (void)co_await old_region->Close();
         }
 
         if (!is_tail) {
@@ -169,11 +171,14 @@ void BlockStorageApp::InstallStorageNode(ServiceEndpoint* ep, int shard,
         MsgBuffer resp;
         resp.Append<uint8_t>(0);
         resp.Append<uint64_t>(block.version);
-        if (block.region.valid()) {
+        if (block.region != nullptr) {
           // Mint a fresh Ref over the stored pages: the response is
-          // pass-by-reference without copying the block.
-          auto ref = co_await ep->dmrpc()->dm()->CreateRef(
-              block.region.addr(), block.size);
+          // pass-by-reference without copying the block. The pin keeps
+          // the mapping alive while CreateRef is suspended.
+          std::shared_ptr<core::MappedRegion> pin = block.region;
+          auto ref = co_await ep->dmrpc()->dm()->CreateRef(pin->addr(),
+                                                           block.size);
+          if (pin.use_count() == 1) (void)co_await pin->Close();
           if (!ref.ok()) co_return ErrorResp();
           Payload::MakeRef(std::move(*ref)).EncodeTo(&resp);
         } else {

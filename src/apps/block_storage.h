@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,8 +69,11 @@ class BlockStorageApp {
   struct StoredBlock {
     uint64_t version = 0;
     uint64_t size = 0;
-    /// DmRPC backends: a held mapping that keeps the pages alive.
-    core::MappedRegion region;
+    /// DmRPC backends: a held mapping that keeps the pages alive. Shared
+    /// so a read can pin it across its CreateRef: a newer write retiring
+    /// the block must not free pages a Ref is being minted over. The last
+    /// holder to let go closes it.
+    std::shared_ptr<core::MappedRegion> region;
     /// eRPC backend: the block data as a slice chain (shares the
     /// request's slabs instead of re-staging a flat copy).
     rpc::MsgBuffer bytes;

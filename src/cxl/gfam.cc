@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -32,7 +33,8 @@ sim::Task<> CxlPort::ReadFrame(dm::FrameId frame, uint32_t offset,
                                uint8_t* dst, uint32_t len) {
   DMRPC_CHECK_LE(offset + len, device_->page_size());
   stats_.loads++;
-  std::memcpy(dst, device_->pool().FrameData(frame) + offset, len);
+  std::memcpy(dst, std::as_const(device_->pool()).FrameData(frame) + offset,
+              len);
   co_await ChargeAccess(len, 0);
 }
 
@@ -46,8 +48,8 @@ sim::Task<> CxlPort::WriteFrame(dm::FrameId frame, uint32_t offset,
 
 sim::Task<> CxlPort::CopyFrame(dm::FrameId src, dm::FrameId dst) {
   uint32_t page = device_->page_size();
-  std::memcpy(device_->pool().FrameData(dst), device_->pool().FrameData(src),
-              page);
+  std::memcpy(device_->pool().FrameData(dst),
+              std::as_const(device_->pool()).FrameData(src), page);
   stats_.loads++;
   stats_.stores++;
   co_await ChargeAccess(page, page);
@@ -80,7 +82,8 @@ sim::Task<> CxlPort::ReadFramesBulk(const std::vector<dm::FrameId>& frames,
     stats_.loads++;
     uint32_t chunk = static_cast<uint32_t>(
         std::min<uint64_t>(page, len - off));
-    std::memcpy(dst + off, device_->pool().FrameData(frame), chunk);
+    std::memcpy(dst + off, std::as_const(device_->pool()).FrameData(frame),
+                chunk);
     off += chunk;
     if (off >= len) break;
   }

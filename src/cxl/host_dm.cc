@@ -96,6 +96,9 @@ sim::Task<StatusOr<FrameId>> HostDmLayer::PopLocalFrame() {
 }
 
 sim::Task<> HostDmLayer::PushLocalFrame(FrameId frame) {
+  // The device pool never sees this free (hosts and the coordinator keep
+  // their own free lists), so release the frame's host bytes here.
+  port_->device()->pool().Discard(frame);
   free_.push_back(frame);
   if (free_.size() > cfg_.high_watermark) {
     (void)co_await ReturnToCoordinator(cfg_.refill_batch);

@@ -108,8 +108,9 @@ class HostDmLayer : public dm::DmClient {
   /// Pops a locally owned free frame, refilling from the coordinator when
   /// below the low watermark (blocking only when empty).
   sim::Task<StatusOr<dm::FrameId>> PopLocalFrame();
-  /// Returns a frame to the local pool; may push a batch back to the
-  /// coordinator above the high watermark.
+  /// Returns a frame whose last share went to the local pool, discarding
+  /// its G-FAM bytes; may push a batch back to the coordinator above the
+  /// high watermark.
   sim::Task<> PushLocalFrame(dm::FrameId frame);
   sim::Task<Status> RefillFromCoordinator(uint32_t count);
   sim::Task<Status> ReturnToCoordinator(uint32_t count);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,14 @@ struct LeaseReclaim {
 ///
 /// Page contents are real bytes: copy-on-write physically copies them, so
 /// data integrity is testable end to end.
+///
+/// Frame identity is decoupled from host storage. A frame is backed by a
+/// block of a chunked host arena only from its first mutable FrameData()
+/// until it is freed (PushFree) or discarded (Discard); released blocks
+/// are reused LIFO and zeroed on reuse. An unbacked frame reads as zeros.
+/// Host RAM therefore follows the peak number of frames in use, not the
+/// modelled capacity, while frame ids, the FIFO order and refcounts --
+/// everything the simulation observes -- are unaffected.
 class PagePool {
  public:
   PagePool(uint32_t num_frames, uint32_t page_size);
@@ -50,6 +59,12 @@ class PagePool {
   uint32_t page_size() const { return page_size_; }
   uint32_t num_frames() const { return num_frames_; }
   uint32_t free_frames() const { return static_cast<uint32_t>(fifo_.size()); }
+
+  /// Frames currently backed by host bytes, and the high-water mark of
+  /// that count. Host-side bookkeeping only: deliberately not registry
+  /// metrics, so they never enter a metrics fingerprint.
+  uint32_t resident_frames() const { return resident_; }
+  uint32_t peak_resident_frames() const { return peak_resident_; }
 
   /// Registers this pool's frame-allocation and reference-count-churn
   /// counters under `<prefix>.{frames_popped,frames_pushed,ref_incs,
@@ -62,10 +77,20 @@ class PagePool {
   /// Pops a frame from the FIFO free list; its refcount becomes 1.
   StatusOr<FrameId> PopFree();
 
-  /// Pushes a frame back onto the free list. The refcount must be zero.
+  /// Pushes a frame back onto the free list and releases its host bytes.
+  /// The refcount must be zero.
   void PushFree(FrameId frame);
 
-  /// Raw storage of a frame (page_size bytes).
+  /// Releases the host bytes of a frame that stays off the free list, so
+  /// it reads as zeros again. For owners that keep their own free list
+  /// (the CXL hosts and coordinator over the G-FAM device). The refcount
+  /// must be zero.
+  void Discard(FrameId frame);
+
+  /// Storage of a frame (page_size bytes). The mutable overload backs an
+  /// unbacked frame with zeroed host bytes; the const overload of an
+  /// unbacked frame returns a shared zero page. Either on a frame sitting
+  /// in the free FIFO is a fatal error (a use after free in the caller).
   uint8_t* FrameData(FrameId frame);
   const uint8_t* FrameData(FrameId frame) const;
 
@@ -78,7 +103,7 @@ class PagePool {
   /// "the process that frees the page lastly reclaims it").
   uint32_t DecRef(FrameId frame);
 
-  /// Total bytes of page storage.
+  /// Total bytes of modelled page storage.
   uint64_t capacity_bytes() const {
     return static_cast<uint64_t>(num_frames_) * page_size_;
   }
@@ -112,9 +137,34 @@ class PagePool {
   size_t lease_count() const { return leases_.size(); }
 
  private:
+  /// block_of_ values that are not arena blocks.
+  static constexpr uint32_t kUnbacked = 0xffffffff;  // live, reads as zeros
+  static constexpr uint32_t kOnFreeList = 0xfffffffe;
+
+  uint8_t* BlockData(uint32_t block) const {
+    return chunks_[block / blocks_per_chunk_].get() +
+           static_cast<size_t>(block % blocks_per_chunk_) * page_size_;
+  }
+  /// Hands `frame`'s block (if any) back to the recycle stack and marks
+  /// the frame `next` (kUnbacked or kOnFreeList).
+  void Release(FrameId frame, uint32_t next);
+
   uint32_t num_frames_;
   uint32_t page_size_;
-  std::vector<uint8_t> storage_;
+  uint32_t blocks_per_chunk_;
+  /// Per frame: its arena block, kUnbacked, or kOnFreeList.
+  std::vector<uint32_t> block_of_;
+  /// The arena: fixed-size chunks of blocks, allocated on demand and
+  /// never returned. Blocks [0, blocks_carved_) have been handed out at
+  /// least once; released ones wait on recycled_ (LIFO, so the hottest
+  /// host memory is reused first).
+  std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+  uint32_t blocks_carved_ = 0;
+  std::vector<uint32_t> recycled_;
+  std::vector<uint8_t> zero_page_;
+  uint32_t resident_ = 0;
+  uint32_t peak_resident_ = 0;
+
   std::vector<uint32_t> refcounts_;
   std::deque<FrameId> fifo_;
   /// lease -> (cookie -> pinned frames). Ordered maps: reclamation order

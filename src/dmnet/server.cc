@@ -102,7 +102,7 @@ StatusOr<FrameId> DmServer::FaultIn(uint32_t pid, RemoteAddr page_va) {
                            "{\"pid\":" + std::to_string(pid) + ",\"page_va\":" +
                                std::to_string(page_va) + "}");
   }
-  std::memset(pool_.FrameData(*frame), 0, cfg_.page_size);
+  // PopFree hands out frames that read as zeros: no host-side clearing.
   pte_[PteKey(pid, page_va)] = *frame;
   return *frame;
 }
@@ -296,8 +296,8 @@ sim::Task<MsgBuffer> DmServer::HandleCreateRef(ReqContext ctx,
         PutStatus(&resp, copy.status());
         co_return resp;
       }
-      std::memcpy(pool_.FrameData(*copy), pool_.FrameData(frame),
-                  cfg_.page_size);
+      std::memcpy(pool_.FrameData(*copy),
+                  std::as_const(pool_).FrameData(frame), cfg_.page_size);
       meter_.Charge(mem::MemKind::kLocalDram, 2ull * cfg_.page_size);
       cpu += cfg_.memory.CopyNs(mem::MemKind::kLocalDram,
                                 mem::MemKind::kLocalDram, cfg_.page_size);
@@ -443,8 +443,8 @@ sim::Task<MsgBuffer> DmServer::HandleWrite(ReqContext ctx, MsgBuffer req) {
           PutStatus(&resp, copy.status());
           co_return resp;
         }
-        std::memcpy(pool_.FrameData(*copy), pool_.FrameData(frame),
-                    cfg_.page_size);
+        std::memcpy(pool_.FrameData(*copy),
+                    std::as_const(pool_).FrameData(frame), cfg_.page_size);
         meter_.Charge(mem::MemKind::kLocalDram, 2ull * cfg_.page_size);
         cpu += cfg_.memory.CopyNs(mem::MemKind::kLocalDram,
                                   mem::MemKind::kLocalDram, cfg_.page_size);
@@ -511,7 +511,7 @@ sim::Task<MsgBuffer> DmServer::HandleRead(ReqContext ctx, MsgBuffer req) {
       std::memset(resp.AppendContiguous(chunk), 0, chunk);
     } else {
       std::memcpy(resp.AppendContiguous(chunk),
-                  pool_.FrameData(frame) + in_page, chunk);
+                  std::as_const(pool_).FrameData(frame) + in_page, chunk);
     }
     done += chunk;
   }
@@ -556,11 +556,8 @@ sim::Task<MsgBuffer> DmServer::HandlePutRef(ReqContext ctx, MsgBuffer req) {
     cpu += cfg_.fault_ns;
     uint64_t off = i * cfg_.page_size;
     uint64_t chunk = std::min<uint64_t>(cfg_.page_size, len - off);
+    // The tail of a short last page is already zero (fresh frame).
     req.ReadBytes(pool_.FrameData(*frame), chunk);
-    if (chunk < cfg_.page_size) {
-      std::memset(pool_.FrameData(*frame) + chunk, 0,
-                  cfg_.page_size - chunk);
-    }
     entry.frames.push_back(*frame);
   }
   meter_.Charge(mem::MemKind::kLocalDram, len);
@@ -691,7 +688,8 @@ sim::Task<MsgBuffer> DmServer::HandleFetchRef(ReqContext ctx,
     uint64_t chunk = std::min<uint64_t>(cfg_.page_size, remaining);
     // One pooled slab per page frame (the modeled frame -> wire DMA);
     // the chain hands the slabs through fragmentation untouched.
-    std::memcpy(resp.AppendContiguous(chunk), pool_.FrameData(frame), chunk);
+    std::memcpy(resp.AppendContiguous(chunk),
+                std::as_const(pool_).FrameData(frame), chunk);
     remaining -= chunk;
   }
   meter_.Charge(mem::MemKind::kLocalDram, entry.size);

@@ -22,7 +22,10 @@ namespace dmrpc::dmnet {
 /// Tuning of a DM server (§V-A).
 struct DmServerConfig {
   uint32_t page_size = 4096;
-  uint32_t num_frames = 65536;  // 256 MiB of pinned pages by default
+  /// Modelled capacity: 65536 frames are 256 MiB of pinned pages on the
+  /// simulated server. Host RAM follows frames in use, not this figure
+  /// (see dm::PagePool).
+  uint32_t num_frames = 65536;
   /// Worker cores serving DM requests (Fig. 7 uses 1).
   int cores = 1;
   /// Per-request fixed CPU cost (argument parsing, dispatch).
@@ -174,7 +177,7 @@ class DmServer {
   /// CPU cost of one software translation (0 under MMU-direct mode).
   TimeNs TranslateCost() const;
 
-  /// Faults in a fresh zeroed frame for an unmapped page.
+  /// Faults in a fresh frame (it reads as zeros) for an unmapped page.
   StatusOr<dm::FrameId> FaultIn(uint32_t pid, dm::RemoteAddr page_va);
 
   ProcState* FindProc(uint32_t pid);

@@ -278,6 +278,16 @@ ChaosReport RunChaosIteration(const ChaosOptions& opts) {
             "dm server " + std::to_string(s) + ": " +
             std::to_string(leaked) + " frames not returned to the free list");
       }
+      // Host bytes must follow frames in use: a freed frame that stays
+      // backed is host memory the pool lost track of.
+      if (pool.resident_frames() != pool.num_frames() - pool.free_frames()) {
+        report.violations.push_back(
+            "dm server " + std::to_string(s) + ": " +
+            std::to_string(pool.resident_frames()) +
+            " frames hold host bytes, " +
+            std::to_string(pool.num_frames() - pool.free_frames()) +
+            " are in use");
+      }
       if (pool.lease_count() != 0) {
         report.leases_leaked += pool.lease_count();
         report.violations.push_back(

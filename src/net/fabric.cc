@@ -2,11 +2,26 @@
 
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace dmrpc::net {
+namespace {
+
+/// Passes a packet-carrying closure through unchanged, and fails the build
+/// if it no longer fits sim::SmallFn's inline buffer: a spilled closure
+/// costs one heap allocation per packet hop. Wrap every closure that
+/// captures a Packet.
+template <typename F>
+F&& InlineHop(F&& fn) {
+  static_assert(sim::SmallFn::kFitsInline<std::decay_t<F>>,
+                "packet closure spills out of SmallFn's inline buffer");
+  return std::forward<F>(fn);
+}
+
+}  // namespace
 
 const char* TraceStageName(TraceStage stage) {
   switch (stage) {
@@ -314,14 +329,16 @@ void Fabric::SendToSwitch(Packet pkt) {
     // always clears the engine's window bound.
     uint32_t leaf_lp = lp_of_switch_[topo_.LeafOf(pkt.src)];
     sim_->AfterOnLp(leaf_lp, cfg_.link_propagation_ns,
-                    [this, p = std::move(pkt)]() mutable {
+                    InlineHop([this, p = std::move(pkt)]() mutable {
                       ClosHostIngress(std::move(p));
-                    });
+                    }));
     return;
   }
   // Cable from host to switch.
   sim_->After(cfg_.link_propagation_ns,
-              [this, p = std::move(pkt)]() mutable { SwitchIngress(std::move(p)); });
+              InlineHop([this, p = std::move(pkt)]() mutable {
+                SwitchIngress(std::move(p));
+              }));
 }
 
 void Fabric::SwitchIngress(Packet pkt) {
@@ -366,9 +383,10 @@ void Fabric::SwitchIngress(Packet pkt) {
     if (act.extra_delay_ns > 0) {
       // Reordering: this packet re-enters the egress queue late, so
       // traffic behind it overtakes.
-      sim_->After(act.extra_delay_ns, [this, p = std::move(pkt)]() mutable {
-        egress_queues_[p.dst]->Push(std::move(p));
-      });
+      sim_->After(act.extra_delay_ns,
+                  InlineHop([this, p = std::move(pkt)]() mutable {
+                    egress_queues_[p.dst]->Push(std::move(p));
+                  }));
       return;
     }
   }
@@ -458,18 +476,18 @@ sim::Task<> Fabric::EgressPump(NodeId port) {
       if (act.duplicate) {
         switch_stats_.duplicated_fault++;
         sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                    [this, dst, p = ClonePacket(pkt)]() mutable {
+                    InlineHop([this, dst, p = ClonePacket(pkt)]() mutable {
                       Trace(TraceStage::kDelivered, p);
                       nics_[dst]->Deliver(std::move(p));
-                    });
+                    }));
       }
       extra = act.extra_delay_ns;
     }
     sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns + extra,
-                [this, dst, p = std::move(pkt)]() mutable {
+                InlineHop([this, dst, p = std::move(pkt)]() mutable {
                   Trace(TraceStage::kDelivered, p);
                   nics_[dst]->Deliver(std::move(p));
-                });
+                }));
   }
 }
 
@@ -512,9 +530,9 @@ void Fabric::ClosHostIngress(Packet pkt) {
     }
     if (act.extra_delay_ns > 0) {
       sim_->After(act.extra_delay_ns,
-                  [this, leaf, p = std::move(pkt)]() mutable {
+                  InlineHop([this, leaf, p = std::move(pkt)]() mutable {
                     ClosRouteAtLeaf(leaf, std::move(p));
-                  });
+                  }));
       return;
     }
   }
@@ -618,16 +636,16 @@ sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
         uint32_t leaf = port;
         sim_->AfterOnLp(lp_of_switch_[leaf],
                         cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                        [this, leaf, p = std::move(pkt)]() mutable {
+                        InlineHop([this, leaf, p = std::move(pkt)]() mutable {
                           ClosLeafFromSpine(leaf, std::move(p));
-                        });
+                        }));
       } else {
         uint32_t spine = port - topo_.HostsPerLeaf();
         sim_->AfterOnLp(lp_of_switch_[topo_.FirstSpine() + spine],
                         cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                        [this, spine, p = std::move(pkt)]() mutable {
+                        InlineHop([this, spine, p = std::move(pkt)]() mutable {
                           ClosSpineIngress(spine, std::move(p));
-                        });
+                        }));
       }
       continue;
     }
@@ -648,19 +666,19 @@ sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
       if (act.duplicate) {
         ShardFor(sw).stats.duplicated_fault++;
         sim_->AfterOnLp(0, cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                        [this, dst, p = ClonePacket(pkt)]() mutable {
+                        InlineHop([this, dst, p = ClonePacket(pkt)]() mutable {
                           Trace(TraceStage::kDelivered, p);
                           nics_[dst]->Deliver(std::move(p));
-                        });
+                        }));
       }
       extra = act.extra_delay_ns;
     }
     sim_->AfterOnLp(0,
                     cfg_.switch_latency_ns + cfg_.link_propagation_ns + extra,
-                    [this, dst, p = std::move(pkt)]() mutable {
+                    InlineHop([this, dst, p = std::move(pkt)]() mutable {
                       Trace(TraceStage::kDelivered, p);
                       nics_[dst]->Deliver(std::move(p));
-                    });
+                    }));
   }
 }
 

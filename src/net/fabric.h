@@ -37,9 +37,9 @@ struct SwitchStats {
 };
 
 /// Why the fabric (or the receiving NIC) discarded a packet. Each reason
-/// owns a distinct `net.drop_reason.<name>` counter, registered lazily on
-/// the first drop of that kind so drop-free runs dump byte-identical
-/// metrics to the pre-reason era.
+/// owns a distinct `net.drop_reason.<name>` counter. The fabric
+/// constructor registers all of them eagerly, so every metrics dump
+/// carries the full schema, zeros included.
 enum class DropReason : uint8_t {
   kQueueFull = 0,   // finite egress port queue overflowed
   kFcsBad = 1,      // corrupted frame failed the NIC FCS check
@@ -205,9 +205,9 @@ class Fabric {
   /// Fresh trace id for a packet.
   uint64_t NextPacketId() { return next_packet_id_++; }
 
-  /// The distinct per-reason drop counter, registered on first use (the
-  /// NIC uses this for FCS drops; the fabric's internal drop paths go
-  /// through it too).
+  /// The distinct per-reason drop counter, registered by the constructor
+  /// (the NIC uses this for FCS drops; the fabric's internal drop paths
+  /// go through it too).
   obs::Counter* DropReasonCounter(DropReason reason);
 
   /// Called by a NIC TX pump after serialization: the packet is on the

@@ -30,15 +30,17 @@ struct Packet {
   NodeId dst = kInvalidNode;
   Port src_port = 0;
   Port dst_port = 0;
-  /// Monotonic per-fabric id for tracing and loss injection hooks.
-  uint64_t id = 0;
   /// Set by the fault layer to model in-flight corruption: the frame
   /// check sequence no longer matches, so the receiving NIC discards the
   /// frame (counted in NicStats::rx_fcs_errors) instead of delivering it.
   /// Kept out of the wire format on purpose -- the FCS is already part of
   /// NetworkConfig::wire_header_bytes, and real corrupted frames never
-  /// reach software either.
+  /// reach software either. Sits in the padding after the ports: every
+  /// byte of Packet is carried by the fabric's per-hop closures, which
+  /// must fit sim::SmallFn's inline buffer.
   bool fcs_bad = false;
+  /// Monotonic per-fabric id for tracing and loss injection hooks.
+  uint64_t id = 0;
   /// The request trace this packet belongs to (copied from the RPC
   /// header at build time). The NIC and switch pumps serve packets from
   /// many requests interleaved, so the causal link for their wire-time

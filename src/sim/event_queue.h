@@ -27,10 +27,16 @@ namespace dmrpc::sim {
 /// strings) stay correct.
 class SmallFn {
  public:
-  // Sized for the largest hot-path capture: a packet-delivery closure
-  // holding one net::Packet (64 bytes with its scatter-gather frag
-  // vector) plus a this pointer.
-  static constexpr size_t kInlineBytes = 80;
+  // Sized for the largest hot-path capture: a fabric hop closure holding
+  // one net::Packet (80 bytes with its trace context and scatter-gather
+  // frag vector), a this pointer and a 32-bit node/switch index. The
+  // fabric static_asserts kFitsInline at every such scheduling site.
+  static constexpr size_t kInlineBytes = 96;
+
+  /// Whether a callable of type Fn is stored in place (no allocation).
+  template <typename Fn>
+  static constexpr bool kFitsInline =
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t);
 
   SmallFn() = default;
 
@@ -40,8 +46,7 @@ class SmallFn {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
+    if constexpr (kFitsInline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {

@@ -148,7 +148,8 @@ struct WorkerSlot {
 /// internals"): pending events live in a 4-ary min-heap of tagged entries
 /// holding either a coroutine handle or a small-buffer-inlined callback
 /// (SmallFn), so scheduling and dispatching an event performs no heap
-/// allocation; packet payloads come from the simulation-owned BufferPool.
+/// allocation unless the callback outgrows SmallFn::kInlineBytes; packet
+/// payloads come from the simulation-owned BufferPool.
 ///
 /// Parallel engine (docs/ARCHITECTURE.md, "Parallel engine"): with
 /// SimConfig::worker_threads >= 1 the event flow can be partitioned into

@@ -211,6 +211,40 @@ TEST_F(CxlTest, FrameConservationAcrossFullLifecycle) {
   EXPECT_EQ(TotalFreeFrames(), before);
 }
 
+// The device pool never sees a CXL free (hosts keep their own free lists),
+// so the host discards a frame's G-FAM bytes when its last share goes.
+TEST_F(CxlTest, LastShareDiscardsGfamBytes) {
+  ASSERT_TRUE(Run(InitAll()).ok());
+  const dm::PagePool& pool = device_.pool();
+  auto st = Run([&]() -> sim::Task<Status> {
+    auto va = co_await hosts_[0]->Alloc(16384);
+    std::vector<uint8_t> data(16384, 0x3c);
+    (void)co_await hosts_[0]->Write(*va, data.data(), data.size());
+    if (pool.resident_frames() != 4) co_return Status::Internal("not 4");
+    auto ref = co_await hosts_[0]->CreateRef(*va, 16384);
+    auto vb = co_await hosts_[1]->MapRef(*ref);
+    std::vector<uint8_t> w(5000, 0xff);  // COW-copies pages 0 and 1
+    (void)co_await hosts_[1]->Write(*vb + 2000, w.data(), w.size());
+    if (pool.resident_frames() != 6) co_return Status::Internal("not 6");
+    (void)co_await hosts_[0]->Free(*va);  // the Ref still holds all four
+    if (pool.resident_frames() != 6) co_return Status::Internal("freed early");
+    (void)co_await hosts_[1]->Free(*vb);  // drops the two private copies
+    if (pool.resident_frames() != 4) co_return Status::Internal("copies kept");
+    std::vector<dm::FrameId> pages = ref->pages;
+    (void)co_await hosts_[1]->ReleaseRef(*ref);
+    for (dm::FrameId f : pages) {
+      if (pool.FrameData(f)[0] != 0) co_return Status::Internal("stale bytes");
+    }
+    auto put = co_await hosts_[2]->PutRef(data.data(), 9000);
+    if (!put.ok()) co_return put.status();
+    if (pool.resident_frames() != 3) co_return Status::Internal("put not 3");
+    co_return co_await hosts_[2]->ReleaseRef(*put);
+  }());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(pool.resident_frames(), 0u);
+  EXPECT_EQ(pool.peak_resident_frames(), 6u);
+}
+
 TEST_F(CxlTest, WatermarksExchangeFramesWithCoordinator) {
   ASSERT_TRUE(Run(InitAll()).ok());
   auto st = Run([&]() -> sim::Task<Status> {

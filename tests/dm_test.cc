@@ -5,78 +5,11 @@
 #include <vector>
 
 #include "common/random.h"
-#include "dm/page_pool.h"
 #include "dm/ref.h"
 #include "dm/va_allocator.h"
 
 namespace dmrpc::dm {
 namespace {
-
-// ---------------------------------------------------------------------------
-// PagePool
-// ---------------------------------------------------------------------------
-
-TEST(PagePoolTest, StartsAllFree) {
-  PagePool pool(16, 4096);
-  EXPECT_EQ(pool.free_frames(), 16u);
-  EXPECT_EQ(pool.capacity_bytes(), 16u * 4096);
-}
-
-TEST(PagePoolTest, PopInitializesRefcountToOne) {
-  PagePool pool(4, 4096);
-  auto f = pool.PopFree();
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ(pool.RefCount(*f), 1u);
-  EXPECT_EQ(pool.free_frames(), 3u);
-}
-
-TEST(PagePoolTest, PopFifoOrder) {
-  PagePool pool(4, 64);
-  auto a = pool.PopFree();
-  auto b = pool.PopFree();
-  EXPECT_EQ(*a, 0u);
-  EXPECT_EQ(*b, 1u);
-  pool.DecRef(*a);
-  pool.PushFree(*a);  // goes to the back
-  auto c = pool.PopFree();
-  auto d = pool.PopFree();
-  EXPECT_EQ(*c, 2u);
-  EXPECT_EQ(*d, 3u);
-  auto e = pool.PopFree();
-  EXPECT_EQ(*e, 0u);  // recycled last
-}
-
-TEST(PagePoolTest, ExhaustionReturnsOutOfMemory) {
-  PagePool pool(2, 64);
-  ASSERT_TRUE(pool.PopFree().ok());
-  ASSERT_TRUE(pool.PopFree().ok());
-  auto f = pool.PopFree();
-  EXPECT_FALSE(f.ok());
-  EXPECT_TRUE(f.status().IsOutOfMemory());
-}
-
-TEST(PagePoolTest, RefCountingUpDown) {
-  PagePool pool(2, 64);
-  FrameId f = *pool.PopFree();
-  EXPECT_EQ(pool.IncRef(f), 2u);
-  EXPECT_EQ(pool.IncRef(f), 3u);
-  EXPECT_EQ(pool.DecRef(f), 2u);
-  EXPECT_EQ(pool.DecRef(f), 1u);
-  EXPECT_EQ(pool.DecRef(f), 0u);
-  pool.PushFree(f);
-  EXPECT_EQ(pool.free_frames(), 2u);
-}
-
-TEST(PagePoolTest, FrameDataIsIsolatedPerFrame) {
-  PagePool pool(3, 128);
-  FrameId a = *pool.PopFree();
-  FrameId b = *pool.PopFree();
-  std::fill_n(pool.FrameData(a), 128, 0xaa);
-  std::fill_n(pool.FrameData(b), 128, 0xbb);
-  EXPECT_EQ(pool.FrameData(a)[0], 0xaa);
-  EXPECT_EQ(pool.FrameData(a)[127], 0xaa);
-  EXPECT_EQ(pool.FrameData(b)[0], 0xbb);
-}
 
 // ---------------------------------------------------------------------------
 // VaAllocator
