@@ -81,8 +81,8 @@ std::string Summarize(const msvc::WorkloadResult& res);
 ///
 ///   <bench>_<label>.timeline.jsonl  one JSON object per sampled window
 ///                                   (obs::TimelineRecorder::ToJsonLines;
-///                                   byte-identical across worker-thread
-///                                   counts)
+///                                   byte-identical across same-seed
+///                                   reruns)
 ///   <bench>_<label>.counters.json   Chrome/Perfetto counter-track file
 ///                                   (per-window rates, gauge levels,
 ///                                   p99s, SLO burn rates)

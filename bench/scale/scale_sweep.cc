@@ -22,23 +22,17 @@
 //   --arrival=poisson|pareto|lognormal  inter-arrival process
 //   --diurnal=A                         diurnal amplitude (0 disables)
 //   --warmup-ms=N --measure-ms=N        window lengths
-//   --threads=N                         simulation executors (0 = the
-//                                       sequential engine; N >= 1 runs
-//                                       the LP engine, bit-identical)
-//   --no-thread-sweep                   skip the thread-scaling pass
 //   --smoke                             small preset for CI
 //   --verify-determinism                run every rate twice, compare
 //                                       metric fingerprints, exit 1 on
 //                                       any divergence
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/socialnet.h"
@@ -70,8 +64,6 @@ struct Options {
   TimeNs diurnal_period = 100 * kMillisecond;
   TimeNs warmup = 15 * kMillisecond;
   TimeNs measure = 60 * kMillisecond;
-  int threads = 0;  // 0 = sequential engine, N >= 1 = LP engine
-  bool thread_sweep = true;
   bool smoke = false;
   bool verify = false;
 
@@ -150,21 +142,16 @@ struct RatePoint {
   uint32_t max_port_depth = 0;
   uint64_t fingerprint = 0;
   /// FNV-1a of the timeline JSONL sidecar (0 when sampling is off). Part
-  /// of the thread-scaling bit-identity check: the whole per-window time
-  /// series must match across worker-thread counts, not just the final
-  /// registry state.
+  /// of the --verify-determinism check: the whole per-window time series
+  /// must match across reruns, not just the final registry state.
   uint64_t timeline_fingerprint = 0;
   uint64_t timeline_windows = 0;
   uint64_t slo_breaches = 0;
-  double wall_ms = 0;
 };
 
-RatePoint RunOne(const Options& opt, double rate_krps, const char* label_suffix,
-                 int threads) {
-  auto wall_start = std::chrono::steady_clock::now();
-  sim::SimConfig scfg;
-  scfg.worker_threads = threads;
-  sim::Simulation sim(opt.seed, scfg);
+RatePoint RunOne(const Options& opt, double rate_krps,
+                 const char* label_suffix) {
+  sim::Simulation sim(opt.seed);
   BenchObs::Arm(&sim);
   if (sim.timeline().enabled()) {
     // Burn-rate SLOs evaluated per sampled window. The p99 latency
@@ -238,9 +225,6 @@ RatePoint RunOne(const Options& opt, double rate_krps, const char* label_suffix,
     pt.timeline_windows = sim.timeline().windows().size();
     pt.slo_breaches = sim.slo().breaches().size();
   }
-  pt.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
   char label[64];
   std::snprintf(label, sizeof(label), "%s_%gkrps%s",
                 msvc::BackendName(opt.backend), rate_krps, label_suffix);
@@ -260,19 +244,8 @@ double KneeKrps(const std::vector<RatePoint>& points) {
   return -1.0;
 }
 
-/// One point of the thread-scaling pass: the same rate, seed, and
-/// datacenter, executed with a different number of simulation threads.
-struct ThreadPoint {
-  int threads = 0;
-  double wall_ms = 0;
-  uint64_t fingerprint = 0;
-  uint64_t completed = 0;
-};
-
 void WriteJson(const Options& opt, const std::vector<RatePoint>& points,
-               double knee, bool verified, double thread_rate,
-               const std::vector<ThreadPoint>& tpoints,
-               bool thread_identical) {
+               double knee, bool verified) {
   const char* path = std::getenv("DMRPC_SCALE_JSON");
   if (path == nullptr || path[0] == '\0') path = "BENCH_scale.json";
   std::FILE* f = std::fopen(path, "w");
@@ -326,35 +299,6 @@ void WriteJson(const Options& opt, const std::vector<RatePoint>& points,
     std::fprintf(f, "  \"knee_krps\": %g,\n", knee);
   } else {
     std::fprintf(f, "  \"knee_krps\": null,\n");
-  }
-  if (!tpoints.empty()) {
-    // wall_ms is host-dependent; host_cores says how many real cores
-    // backed the run (on a 1-core box the LP engine can only pay
-    // synchronization overhead, so ~1x or below is the hardware
-    // ceiling there, not an engine property).
-    std::fprintf(f,
-                 "  \"thread_scaling\": {\"rate_krps\": %g, "
-                 "\"host_cores\": %u, \"runs\": [",
-                 thread_rate, std::thread::hardware_concurrency());
-    for (size_t i = 0; i < tpoints.size(); ++i) {
-      const ThreadPoint& tp = tpoints[i];
-      std::fprintf(f,
-                   "%s\n    {\"threads\": %d, \"wall_ms\": %.1f, "
-                   "\"completed\": %" PRIu64
-                   ", \"metrics_fingerprint\": \"%016" PRIx64 "\"}",
-                   i > 0 ? "," : "", tp.threads, tp.wall_ms, tp.completed,
-                   tp.fingerprint);
-    }
-    double w1 = 0, w8 = 0;
-    for (const ThreadPoint& tp : tpoints) {
-      if (tp.threads == 1) w1 = tp.wall_ms;
-      if (tp.threads == 8) w8 = tp.wall_ms;
-    }
-    std::fprintf(f,
-                 "\n  ], \"bit_identical\": %s, "
-                 "\"speedup_8_vs_1\": %.2f},\n",
-                 thread_identical ? "true" : "false",
-                 w8 > 0 ? w1 / w8 : 0.0);
   }
   std::fprintf(f, "  \"determinism\": \"%s\"\n}\n",
                verified ? "verified" : "unverified");
@@ -420,10 +364,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
       opt->diurnal = std::atof(v);
     } else if ((v = val("--diurnal-period-ms")) != nullptr) {
       opt->diurnal_period = std::atoll(v) * kMillisecond;
-    } else if (std::strcmp(a, "--no-thread-sweep") == 0) {
-      opt->thread_sweep = false;
-    } else if ((v = val("--threads")) != nullptr) {
-      opt->threads = std::atoi(v);
     } else if ((v = val("--warmup-ms")) != nullptr) {
       opt->warmup = std::atoll(v) * kMillisecond;
     } else if ((v = val("--measure-ms")) != nullptr) {
@@ -471,9 +411,9 @@ int Main(int argc, char** argv) {
   std::vector<RatePoint> points;
   bool determinism_ok = true;
   for (double rate : opt.rates_krps) {
-    RatePoint pt = RunOne(opt, rate, "", opt.threads);
+    RatePoint pt = RunOne(opt, rate, "");
     if (opt.verify) {
-      RatePoint again = RunOne(opt, rate, "_rerun", opt.threads);
+      RatePoint again = RunOne(opt, rate, "_rerun");
       if (again.fingerprint != pt.fingerprint ||
           again.timeline_fingerprint != pt.timeline_fingerprint ||
           again.completed != pt.completed || again.p99_us != pt.p99_us) {
@@ -517,47 +457,8 @@ int Main(int argc, char** argv) {
     std::printf("saturation knee: not reached (raise --rates)\n");
   }
 
-  // Thread-scaling pass: replay the middle rate with 1/2/4/8 simulation
-  // threads. The sequential run is the bit-identity reference; wall_ms
-  // measures what the LP engine buys on this host's cores.
-  std::vector<ThreadPoint> tpoints;
-  bool thread_identical = true;
-  double thread_rate = opt.rates_krps[opt.rates_krps.size() / 2];
-  if (opt.thread_sweep) {
-    const RatePoint* ref = nullptr;
-    if (opt.threads == 0) {
-      for (const RatePoint& p : points) {
-        if (p.offered_krps == thread_rate) ref = &p;
-      }
-    }
-    RatePoint seq_pt;
-    if (ref == nullptr) {
-      seq_pt = RunOne(opt, thread_rate, "_tseq", 0);
-      ref = &seq_pt;
-    }
-    tpoints.push_back({0, ref->wall_ms, ref->fingerprint, ref->completed});
-    std::printf("thread scaling at %g krps (host cores: %u)\n", thread_rate,
-                std::thread::hardware_concurrency());
-    std::printf("  threads 0 (seq): wall %8.1f ms\n", ref->wall_ms);
-    for (int th : {1, 2, 4, 8}) {
-      char suffix[16];
-      std::snprintf(suffix, sizeof(suffix), "_t%d", th);
-      RatePoint p = RunOne(opt, thread_rate, suffix, th);
-      bool same = p.fingerprint == ref->fingerprint &&
-                  p.timeline_fingerprint == ref->timeline_fingerprint &&
-                  p.completed == ref->completed;
-      if (!same) thread_identical = false;
-      tpoints.push_back({th, p.wall_ms, p.fingerprint, p.completed});
-      std::printf("  threads %d      : wall %8.1f ms  (%.2fx vs seq)  %s\n",
-                  th, p.wall_ms, p.wall_ms > 0 ? ref->wall_ms / p.wall_ms : 0.0,
-                  same ? "bit-identical" : "FINGERPRINT DIVERGED");
-    }
-  }
-
-  WriteJson(opt, points, knee, opt.verify && determinism_ok, thread_rate,
-            tpoints, thread_identical);
+  WriteJson(opt, points, knee, opt.verify && determinism_ok);
   if (opt.verify && !determinism_ok) return 1;
-  if (!thread_identical) return 1;
   return 0;
 }
 

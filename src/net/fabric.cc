@@ -95,46 +95,6 @@ void Fabric::CountDrop(DropReason reason, const Packet& pkt) {
   Trace(TraceStage::kDropped, pkt);
 }
 
-void Fabric::CountDropSharded(SwitchId sw, DropReason reason,
-                              const Packet& pkt) {
-  FabricShard& sh = ShardFor(sw);
-  sh.drop_reason[static_cast<int>(reason)]++;
-  sh.dropped++;
-  // Trace sinks and the tracer pin the run serial, so when this can
-  // execute on a worker thread both branches of Trace() are no-ops.
-  Trace(TraceStage::kDropped, pkt);
-}
-
-void Fabric::FoldShards() {
-  if (shards_.empty()) return;
-  for (FabricShard& sh : shards_) {
-    const SwitchStats& d = sh.stats;
-    switch_stats_.forwarded += d.forwarded;
-    switch_stats_.dropped_loss += d.dropped_loss;
-    switch_stats_.dropped_unknown_dst += d.dropped_unknown_dst;
-    switch_stats_.dropped_fault += d.dropped_fault;
-    switch_stats_.dropped_link_down += d.dropped_link_down;
-    switch_stats_.dropped_queue_full += d.dropped_queue_full;
-    switch_stats_.dropped_switch_down += d.dropped_switch_down;
-    switch_stats_.duplicated_fault += d.duplicated_fault;
-    if (d.forwarded > 0) m_forwarded_->Inc(d.forwarded);
-    if (sh.dropped > 0) m_dropped_->Inc(sh.dropped);
-    if (sh.spine_hops > 0) m_spine_hops_->Inc(sh.spine_hops);
-    if (sh.leaf_local > 0) m_leaf_local_->Inc(sh.leaf_local);
-    if (sh.enqueued > 0) m_port_enqueued_->Inc(sh.enqueued);
-    for (int i = 0; i < kNumDropReasons; ++i) {
-      if (sh.drop_reason[i] > 0) {
-        m_drop_reason_[i]->Inc(sh.drop_reason[i]);
-      }
-    }
-    if (sh.max_port_depth > max_port_depth_) {
-      max_port_depth_ = sh.max_port_depth;
-      m_max_port_depth_->Set(max_port_depth_);
-    }
-    sh = FabricShard{};
-  }
-}
-
 Fabric::Fabric(sim::Simulation* sim, const NetworkConfig& cfg,
                uint32_t num_nodes)
     : Fabric(sim, cfg, TopologyConfig::SingleTor(num_nodes)) {}
@@ -169,24 +129,6 @@ Fabric::Fabric(sim::Simulation* sim, const NetworkConfig& cfg,
     nics_.push_back(std::make_unique<Nic>(sim_, this, i, cfg_));
   }
   BuildClos();
-  // The legacy uniform-loss shim draws from the simulation rng at switch
-  // ingress -- on a worker LP that would make the draw order depend on
-  // the thread schedule, so such runs stay on the serial merge path.
-  if (cfg_.loss_probability > 0.0) {
-    sim_->PinSequential("net.loss_probability");
-  }
-  fold_hook_token_ = sim_->AddFoldHook([this] { FoldShards(); });
-}
-
-Fabric::~Fabric() {
-  // The fold hook captures `this`; a fabric destroyed before its
-  // simulation must flush its shards into the registry one last time and
-  // unregister, or the next metrics dump would call through a dangling
-  // pointer.
-  if (fold_hook_token_ != static_cast<size_t>(-1)) {
-    FoldShards();
-    sim_->RemoveFoldHook(fold_hook_token_);
-  }
 }
 
 void Fabric::BuildClos() {
@@ -198,37 +140,6 @@ void Fabric::BuildClos() {
   m_leaf_local_ = sim_->metrics().GetCounter("net.fabric.leaf_local");
   m_port_enqueued_ = sim_->metrics().GetCounter("net.fabric.port_enqueued");
   m_max_port_depth_ = sim_->metrics().GetGauge("net.fabric.max_port_depth");
-  // Partition the switch graph onto logical processes when the engine
-  // supports them. The host->leaf cable is the shortest cross-LP edge, so
-  // link propagation delay is the lookahead each LP promises the engine;
-  // zero propagation would mean zero lookahead, so such configs (none in
-  // practice) stay on LP 0.
-  use_lps_ = sim_->lp_enabled() && cfg_.link_propagation_ns > 0;
-  uint32_t groups = 1;
-  if (use_lps_) {
-    groups = topo_.lp_groups == 0 ? topo_.num_leaves : topo_.lp_groups;
-    if (groups > topo_.num_leaves) groups = topo_.num_leaves;
-  }
-  shards_.assign(groups, FabricShard{});
-  std::vector<uint32_t> group_lp(groups, 0);
-  if (use_lps_) {
-    for (uint32_t g = 0; g < groups; ++g) {
-      group_lp[g] = sim_->AddLp(cfg_.link_propagation_ns);
-    }
-  }
-  // Leaf l and spine s land in groups l % G and s % G: co-grouping a
-  // leaf with "its" spines keeps some switch->switch hops LP-local while
-  // spreading both tiers evenly.
-  lp_of_switch_.resize(topo_.NumSwitches());
-  shard_of_switch_.resize(topo_.NumSwitches());
-  for (uint32_t l = 0; l < topo_.num_leaves; ++l) {
-    shard_of_switch_[l] = l % groups;
-    lp_of_switch_[l] = group_lp[l % groups];
-  }
-  for (uint32_t s = 0; s < topo_.num_spines; ++s) {
-    shard_of_switch_[topo_.FirstSpine() + s] = s % groups;
-    lp_of_switch_[topo_.FirstSpine() + s] = group_lp[s % groups];
-  }
   uint32_t hpl = topo_.HostsPerLeaf();
   uint32_t next_track = 1000;
   switches_.resize(topo_.NumSwitches());
@@ -255,12 +166,10 @@ void Fabric::BuildClos() {
     }
   }
   // Pumps spawn after the whole graph exists, in (switch, port) order, so
-  // same-instant wakeups resolve in a fixed order run over run. Each pump
-  // lives on the LP owning its switch: its channel waits and serialize
-  // delays then never cross an LP boundary.
+  // same-instant wakeups resolve in a fixed order run over run.
   for (SwitchId sw = 0; sw < switches_.size(); ++sw) {
     for (uint32_t port = 0; port < switches_[sw].ports.size(); ++port) {
-      sim_->SpawnOn(lp_of_switch_[sw], ClosPortPump(sw, port));
+      sim_->Spawn(ClosPortPump(sw, port));
     }
   }
 }
@@ -271,10 +180,6 @@ void Fabric::SetSwitchUp(SwitchId sw, bool up) {
     tor_up_ = up;
     return;
   }
-  // Outage scenarios flip liveness flags that every LP's routing reads;
-  // keeping them on the serial merge path makes the flip's position in
-  // the event order unambiguous.
-  if (use_lps_) sim_->PinSequential("net.switch_outage");
   switches_[sw].up = up;
 }
 
@@ -324,14 +229,11 @@ std::vector<PortStat> Fabric::PortStats() const {
 
 void Fabric::SendToSwitch(Packet pkt) {
   if (topo_.kind == TopologyKind::kClos) {
-    // Cable from host to its leaf: the LP boundary. The propagation delay
-    // is exactly the lookahead the leaf's LP registered, so this send
-    // always clears the engine's window bound.
-    uint32_t leaf_lp = lp_of_switch_[topo_.LeafOf(pkt.src)];
-    sim_->AfterOnLp(leaf_lp, cfg_.link_propagation_ns,
-                    InlineHop([this, p = std::move(pkt)]() mutable {
-                      ClosHostIngress(std::move(p));
-                    }));
+    // Cable from host to its leaf.
+    sim_->After(cfg_.link_propagation_ns,
+                InlineHop([this, p = std::move(pkt)]() mutable {
+                  ClosHostIngress(std::move(p));
+                }));
     return;
   }
   // Cable from host to switch.
@@ -422,16 +324,6 @@ void Fabric::DropFaulted(const Packet& pkt, bool link_down) {
   }
 }
 
-void Fabric::DropFaultedAt(SwitchId sw, const Packet& pkt, bool link_down) {
-  if (link_down) {
-    ShardFor(sw).stats.dropped_link_down++;
-    CountDropSharded(sw, DropReason::kOutage, pkt);
-  } else {
-    ShardFor(sw).stats.dropped_fault++;
-    CountDropSharded(sw, DropReason::kFault, pkt);
-  }
-}
-
 sim::Task<> Fabric::EgressPump(NodeId port) {
   sim::Channel<Packet>* queue = egress_queues_[port].get();
   for (;;) {
@@ -498,34 +390,34 @@ sim::Task<> Fabric::EgressPump(NodeId port) {
 void Fabric::ClosHostIngress(Packet pkt) {
   uint32_t leaf = topo_.LeafOf(pkt.src);
   if (pkt.dst >= num_nodes()) {
-    ShardFor(leaf).stats.dropped_unknown_dst++;
-    CountDropSharded(leaf, DropReason::kUnknownDst, pkt);
+    switch_stats_.dropped_unknown_dst++;
+    CountDrop(DropReason::kUnknownDst, pkt);
     return;
   }
   if (drop_filter_ && drop_filter_(pkt)) {
-    ShardFor(leaf).stats.dropped_loss++;
-    CountDropSharded(leaf, DropReason::kLoss, pkt);
+    switch_stats_.dropped_loss++;
+    CountDrop(DropReason::kLoss, pkt);
     return;
   }
   if (cfg_.loss_probability > 0.0 &&
       sim_->rng().Bernoulli(cfg_.loss_probability)) {
-    ShardFor(leaf).stats.dropped_loss++;
-    CountDropSharded(leaf, DropReason::kLoss, pkt);
+    switch_stats_.dropped_loss++;
+    CountDrop(DropReason::kLoss, pkt);
     return;
   }
   if (fault_hook_ != nullptr) {
     // Uplink traversal: the sender's host->leaf cable.
     if (!fault_hook_->IsLinkUp(pkt.src, LinkDir::kUplink)) {
-      DropFaultedAt(leaf, pkt, /*link_down=*/true);
+      DropFaulted(pkt, /*link_down=*/true);
       return;
     }
     FaultAction act = fault_hook_->OnPacket(pkt.src, LinkDir::kUplink, pkt);
     if (act.drop) {
-      DropFaultedAt(leaf, pkt, /*link_down=*/false);
+      DropFaulted(pkt, /*link_down=*/false);
       return;
     }
     if (act.duplicate) {
-      ShardFor(leaf).stats.duplicated_fault++;
+      switch_stats_.duplicated_fault++;
       ClosRouteAtLeaf(leaf, ClonePacket(pkt));
     }
     if (act.extra_delay_ns > 0) {
@@ -541,21 +433,21 @@ void Fabric::ClosHostIngress(Packet pkt) {
 
 void Fabric::ClosRouteAtLeaf(uint32_t leaf, Packet pkt) {
   if (!switches_[leaf].up) {
-    ShardFor(leaf).stats.dropped_switch_down++;
-    CountDropSharded(leaf, DropReason::kOutage, pkt);
+    switch_stats_.dropped_switch_down++;
+    CountDrop(DropReason::kOutage, pkt);
     return;
   }
   uint32_t dst_leaf = topo_.LeafOf(pkt.dst);
   if (dst_leaf == leaf) {
-    ShardFor(leaf).leaf_local++;
+    m_leaf_local_->Inc();
     ClosEnqueue(leaf, pkt.dst % topo_.HostsPerLeaf(), std::move(pkt));
     return;
   }
   SwitchId spine = SpineForFlow(pkt.src, pkt.src_port, pkt.dst, pkt.dst_port);
   if (spine == kInvalidSwitch) {
     // Every spine is down: the leaf has no route out.
-    ShardFor(leaf).stats.dropped_switch_down++;
-    CountDropSharded(leaf, DropReason::kOutage, pkt);
+    switch_stats_.dropped_switch_down++;
+    CountDrop(DropReason::kOutage, pkt);
     return;
   }
   uint32_t up_port =
@@ -566,18 +458,18 @@ void Fabric::ClosRouteAtLeaf(uint32_t leaf, Packet pkt) {
 void Fabric::ClosSpineIngress(uint32_t spine, Packet pkt) {
   SwitchId sw = topo_.FirstSpine() + spine;
   if (!switches_[sw].up) {
-    ShardFor(sw).stats.dropped_switch_down++;
-    CountDropSharded(sw, DropReason::kOutage, pkt);
+    switch_stats_.dropped_switch_down++;
+    CountDrop(DropReason::kOutage, pkt);
     return;
   }
-  ShardFor(sw).spine_hops++;
+  m_spine_hops_->Inc();
   ClosEnqueue(sw, topo_.LeafOf(pkt.dst), std::move(pkt));
 }
 
 void Fabric::ClosLeafFromSpine(uint32_t leaf, Packet pkt) {
   if (!switches_[leaf].up) {
-    ShardFor(leaf).stats.dropped_switch_down++;
-    CountDropSharded(leaf, DropReason::kOutage, pkt);
+    switch_stats_.dropped_switch_down++;
+    CountDrop(DropReason::kOutage, pkt);
     return;
   }
   ClosEnqueue(leaf, pkt.dst % topo_.HostsPerLeaf(), std::move(pkt));
@@ -587,17 +479,19 @@ void Fabric::ClosEnqueue(SwitchId sw, uint32_t port, Packet pkt) {
   PortQueue& pq = *switches_[sw].ports[port];
   if (topo_.port_queue_packets > 0 && pq.depth >= topo_.port_queue_packets) {
     pq.dropped_full++;
-    ShardFor(sw).stats.dropped_queue_full++;
-    CountDropSharded(sw, DropReason::kQueueFull, pkt);
+    switch_stats_.dropped_queue_full++;
+    CountDrop(DropReason::kQueueFull, pkt);
     return;
   }
   pq.depth++;
   pq.enqueued++;
-  ShardFor(sw).enqueued++;
+  m_port_enqueued_->Inc();
   if (pq.depth > pq.max_depth) {
     pq.max_depth = pq.depth;
-    FabricShard& sh = ShardFor(sw);
-    if (pq.depth > sh.max_port_depth) sh.max_port_depth = pq.depth;
+    if (pq.depth > max_port_depth_) {
+      max_port_depth_ = pq.depth;
+      m_max_port_depth_->Set(max_port_depth_);
+    }
   }
   pq.queue.Push(std::move(pkt));
 }
@@ -611,8 +505,8 @@ sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
     if (!node->up) {
       // The switch lost power with this packet buffered.
       pq->depth--;
-      ShardFor(sw).stats.dropped_switch_down++;
-      CountDropSharded(sw, DropReason::kOutage, pkt);
+      switch_stats_.dropped_switch_down++;
+      CountDrop(DropReason::kOutage, pkt);
       continue;
     }
     TimeNs serialize =
@@ -626,59 +520,54 @@ sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
     co_await sim::Delay(serialize);
     sim_->tracer().EndSpan(span, sim_->Now());
     pq->depth--;
-    ShardFor(sw).stats.forwarded++;
+    switch_stats_.forwarded++;
+    m_forwarded_->Inc();
     Trace(TraceStage::kForwarded, pkt);
     if (!to_host) {
       // Inter-switch hop: forwarding latency + cable to the next switch.
-      // Both directions clear the lookahead bound (switch latency +
-      // propagation > propagation alone).
       if (node->is_spine) {
         uint32_t leaf = port;
-        sim_->AfterOnLp(lp_of_switch_[leaf],
-                        cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                        InlineHop([this, leaf, p = std::move(pkt)]() mutable {
-                          ClosLeafFromSpine(leaf, std::move(p));
-                        }));
+        sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
+                    InlineHop([this, leaf, p = std::move(pkt)]() mutable {
+                      ClosLeafFromSpine(leaf, std::move(p));
+                    }));
       } else {
         uint32_t spine = port - topo_.HostsPerLeaf();
-        sim_->AfterOnLp(lp_of_switch_[topo_.FirstSpine() + spine],
-                        cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                        InlineHop([this, spine, p = std::move(pkt)]() mutable {
-                          ClosSpineIngress(spine, std::move(p));
-                        }));
+        sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
+                    InlineHop([this, spine, p = std::move(pkt)]() mutable {
+                      ClosSpineIngress(spine, std::move(p));
+                    }));
       }
       continue;
     }
-    // Final hop: the receiver's leaf->host cable, back to LP 0 where
-    // every NIC (and everything above it) lives.
+    // Final hop: the receiver's leaf->host cable.
     NodeId dst = pkt.dst;
     TimeNs extra = 0;
     if (fault_hook_ != nullptr) {
       if (!fault_hook_->IsLinkUp(dst, LinkDir::kDownlink)) {
-        DropFaultedAt(sw, pkt, /*link_down=*/true);
+        DropFaulted(pkt, /*link_down=*/true);
         continue;
       }
       FaultAction act = fault_hook_->OnPacket(dst, LinkDir::kDownlink, pkt);
       if (act.drop) {
-        DropFaultedAt(sw, pkt, /*link_down=*/false);
+        DropFaulted(pkt, /*link_down=*/false);
         continue;
       }
       if (act.duplicate) {
-        ShardFor(sw).stats.duplicated_fault++;
-        sim_->AfterOnLp(0, cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                        InlineHop([this, dst, p = ClonePacket(pkt)]() mutable {
-                          Trace(TraceStage::kDelivered, p);
-                          nics_[dst]->Deliver(std::move(p));
-                        }));
-      }
-      extra = act.extra_delay_ns;
-    }
-    sim_->AfterOnLp(0,
-                    cfg_.switch_latency_ns + cfg_.link_propagation_ns + extra,
-                    InlineHop([this, dst, p = std::move(pkt)]() mutable {
+        switch_stats_.duplicated_fault++;
+        sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
+                    InlineHop([this, dst, p = ClonePacket(pkt)]() mutable {
                       Trace(TraceStage::kDelivered, p);
                       nics_[dst]->Deliver(std::move(p));
                     }));
+      }
+      extra = act.extra_delay_ns;
+    }
+    sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns + extra,
+                InlineHop([this, dst, p = std::move(pkt)]() mutable {
+                  Trace(TraceStage::kDelivered, p);
+                  nics_[dst]->Deliver(std::move(p));
+                }));
   }
 }
 

@@ -120,8 +120,6 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  ~Fabric();
-
   sim::Simulation* simulation() { return sim_; }
   const NetworkConfig& config() const { return cfg_; }
   const TopologyConfig& topology() const { return topo_; }
@@ -130,21 +128,13 @@ class Fabric {
 
   Nic* nic(NodeId node) { return nics_[node].get(); }
 
-  const SwitchStats& switch_stats() const {
-    // Clos counters accumulate in per-LP shards; folding here keeps the
-    // accessor's observable behavior identical to the direct-write era.
-    const_cast<Fabric*>(this)->FoldShards();
-    return switch_stats_;
-  }
+  const SwitchStats& switch_stats() const { return switch_stats_; }
 
   /// Per-port egress queue accounting (Clos mode; empty for single-ToR).
   std::vector<PortStat> PortStats() const;
 
   /// Largest egress queue depth observed on any port so far (Clos mode).
-  uint32_t max_port_depth() const {
-    const_cast<Fabric*>(this)->FoldShards();
-    return max_port_depth_;
-  }
+  uint32_t max_port_depth() const { return max_port_depth_; }
 
   /// Administratively takes a switch down (packets arriving at it, queued
   /// on it, or routed onto it are dropped as DropReason::kOutage) or
@@ -161,12 +151,9 @@ class Fabric {
                         Port dst_port) const;
 
   /// Test hook: invoked per packet at first-switch ingress; return true
-  /// to drop. A stateful filter is only deterministic in global event
-  /// order, so installing one pins an LP-partitioned simulation to the
-  /// serial merge path.
+  /// to drop.
   void set_drop_filter(std::function<bool(const Packet&)> filter) {
     drop_filter_ = std::move(filter);
-    if (drop_filter_) sim_->PinSequential("net.drop_filter");
   }
 
   /// Installs the per-link fault seam (pass nullptr to detach). The hook
@@ -176,22 +163,12 @@ class Fabric {
   /// `NetworkConfig::loss_probability` knob keeps working independently
   /// (uniform ingress loss, applied before the hook) as a compatibility
   /// shim for existing configs.
-  void set_fault_hook(FaultHook* hook) {
-    fault_hook_ = hook;
-    // Fault plans consult per-packet sequence state; only the global
-    // event order makes their decisions reproducible.
-    if (hook != nullptr) sim_->PinSequential("net.fault_hook");
-  }
+  void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() { return fault_hook_; }
 
   /// Installs a packet-trace sink (pass nullptr to disable). The sink
-  /// sees every TraceStage of every packet; keep it cheap. Sinks observe
-  /// packets in dispatch order, so installing one pins an LP-partitioned
-  /// simulation to the serial merge path.
-  void set_trace_sink(TraceSink sink) {
-    trace_ = std::move(sink);
-    if (trace_) sim_->PinSequential("net.trace_sink");
-  }
+  /// sees every TraceStage of every packet; keep it cheap.
+  void set_trace_sink(TraceSink sink) { trace_ = std::move(sink); }
 
   /// Called by NICs and the switch at each packet stage. Feeds both the
   /// test sink above and, when the simulation's tracer is enabled,
@@ -238,41 +215,17 @@ class Fabric {
     std::vector<std::unique_ptr<PortQueue>> ports;
   };
 
-  /// Per-LP-group counter shard. Every Clos stat write lands in the shard
-  /// of the switch it happened on (one shard when the simulation is not
-  /// LP-partitioned), and FoldShards drains the deltas into switch_stats_
-  /// and the metrics registry at window barriers / run boundaries. Cache-
-  /// line aligned so two groups' hot counters never false-share.
-  struct alignas(64) FabricShard {
-    SwitchStats stats;  // delta since the last fold
-    uint64_t drop_reason[kNumDropReasons] = {};
-    uint64_t dropped = 0;     // aggregate `net.switch.dropped` delta
-    uint64_t spine_hops = 0;  // `net.fabric.spine_hops` delta
-    uint64_t leaf_local = 0;  // `net.fabric.leaf_local` delta
-    uint64_t enqueued = 0;    // `net.fabric.port_enqueued` delta
-    uint32_t max_port_depth = 0;  // high-water since the last fold
-  };
-
   // --- shared helpers ---
   void TraceSlow(TraceStage stage, const Packet& pkt);
   /// Counts a drop under its distinct reason plus the aggregate
   /// `net.switch.dropped`, and emits the kDropped trace stage.
   void CountDrop(DropReason reason, const Packet& pkt);
-  /// Clos counterpart of CountDrop: the counts land in `sw`'s shard.
-  void CountDropSharded(SwitchId sw, DropReason reason, const Packet& pkt);
-  /// The counter shard owning switch `sw`.
-  FabricShard& ShardFor(SwitchId sw) { return shards_[shard_of_switch_[sw]]; }
-  /// Drains every shard's deltas into switch_stats_ and the registry.
-  /// No-op for single-ToR fabrics (they write directly, as always).
-  void FoldShards();
 
   /// Deep copy for duplication faults: the clone gets its own payload
   /// slab (payload slabs are refcounted, and a later corruption fault
   /// must never mutate bytes shared with the original) and a fresh id.
   Packet ClonePacket(const Packet& pkt);
   void DropFaulted(const Packet& pkt, bool link_down);
-  /// Clos counterpart of DropFaulted, charging switch `sw`'s shard.
-  void DropFaultedAt(SwitchId sw, const Packet& pkt, bool link_down);
 
   // --- single-ToR path (the seed model, unchanged) ---
   sim::Task<> EgressPump(NodeId port);
@@ -304,17 +257,6 @@ class Fabric {
   std::vector<std::unique_ptr<sim::Channel<Packet>>> egress_queues_;
   /// Clos mode: leaves then spines, indexed by SwitchId.
   std::vector<SwitchNode> switches_;
-  /// Clos mode: true when the switches were partitioned onto LPs (the
-  /// simulation is LP-enabled and propagation delay is positive, so a
-  /// lookahead exists).
-  bool use_lps_ = false;
-  /// Clos mode: engine LP id and counter-shard index per SwitchId.
-  std::vector<uint32_t> lp_of_switch_;
-  std::vector<uint32_t> shard_of_switch_;
-  /// Clos mode: one shard per LP group (exactly one without LPs).
-  std::vector<FabricShard> shards_;
-  /// AddFoldHook token; -1 until the Clos hook is registered.
-  size_t fold_hook_token_ = static_cast<size_t>(-1);
   /// Single-ToR mode: ToR liveness (SetSwitchUp(0, ...)).
   bool tor_up_ = true;
   uint32_t max_port_depth_ = 0;

@@ -55,12 +55,6 @@ struct TopologyConfig {
   /// Salt mixed into the ECMP flow hash; varying it re-rolls every
   /// flow-to-spine assignment without touching the flows themselves.
   uint64_t ecmp_salt = 0x9e3779b97f4a7c15ull;
-  /// Clos only: number of logical-process groups the switches partition
-  /// into when the simulation is LP-enabled (see SimConfig). 0 = one
-  /// group per leaf (the finest useful grain); values above num_leaves
-  /// are clamped down to it. Ignored on sequential simulations -- the
-  /// partition changes wall-clock execution only, never results.
-  uint32_t lp_groups = 0;
 
   /// The seed topology: every host under one ToR.
   static TopologyConfig SingleTor(uint32_t hosts);

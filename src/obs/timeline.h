@@ -81,13 +81,12 @@ struct TimelineWindow {
 /// Virtual-time metrics sampler, owned by `sim::Simulation`.
 ///
 /// When enabled, the engine flushes pending sample boundaries before
-/// dispatching the first event at or past each boundary (and clamps
-/// parallel windows so a boundary is never crossed inside one), giving
-/// every boundary B one well-defined meaning on every engine path:
-/// *the registry state after all events with t < B executed*. That makes
-/// timeline sidecars byte-identical across seq/1/2/8 worker threads --
-/// the same guarantee the metrics fingerprints carry, extended from one
-/// end-of-run point to a time series.
+/// dispatching the first event at or past each boundary, giving every
+/// boundary B one well-defined meaning: *the registry state after all
+/// events with t < B executed*. That makes timeline sidecars
+/// byte-identical across identically-seeded runs -- the same guarantee
+/// the metrics fingerprints carry, extended from one end-of-run point to
+/// a time series.
 ///
 /// Sampling is strictly read-only against the registry: it never
 /// schedules events, never consumes randomness, and never registers or
@@ -109,10 +108,9 @@ class TimelineRecorder {
   /// engine caches this and compares each event's timestamp against it.
   TimeNs next_boundary() const { return next_boundary_; }
 
-  /// Samples every pending boundary B <= t, in order. The caller must
-  /// have folded any sharded counters first (Simulation::RunFoldHooks)
-  /// so the registry reflects every executed event. `slo` and `tracer`
-  /// may be null; `reg` is written only by the SLO monitor on breaches.
+  /// Samples every pending boundary B <= t, in order. The registry must
+  /// reflect every event with timestamp < t. `slo` and `tracer` may be
+  /// null; `reg` is written only by the SLO monitor on breaches.
   void SampleUpTo(TimeNs t, MetricsRegistry* reg, uint64_t events_executed,
                   int64_t live_tasks, SloMonitor* slo, Tracer* tracer);
 
@@ -121,9 +119,8 @@ class TimelineRecorder {
   uint64_t dropped_windows() const { return dropped_windows_; }
 
   /// Serializes every window as one JSON object per line (sorted keys,
-  /// all-integer values: byte-stable across identically-seeded runs and
-  /// across worker-thread counts). This is the `.timeline.jsonl`
-  /// sidecar format.
+  /// all-integer values: byte-stable across identically-seeded runs).
+  /// This is the `.timeline.jsonl` sidecar format.
   std::string ToJsonLines() const;
 
   /// Writes a Chrome trace_event / Perfetto counter-track file: one

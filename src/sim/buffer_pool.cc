@@ -8,11 +8,9 @@ namespace internal {
 
 BufSlab* NewSlab(size_t capacity) {
   void* raw = ::operator new(sizeof(BufSlab) + capacity);
-  // The atomic member makes BufSlab non-implicit-lifetime, so the header
-  // must be constructed in place before its fields are assigned.
-  BufSlab* slab = ::new (raw) BufSlab;
+  BufSlab* slab = static_cast<BufSlab*>(raw);
   slab->pool = nullptr;
-  slab->refcnt.store(1, std::memory_order_relaxed);
+  slab->refcnt = 1;
   slab->size_class = 0;
   slab->capacity = static_cast<uint32_t>(capacity);
   slab->len = 0;
@@ -20,12 +18,8 @@ BufSlab* NewSlab(size_t capacity) {
 }
 
 void ReleaseSlab(BufSlab* slab) {
-  // acq_rel: the thread that drops the last reference must observe every
-  // write made by threads that released earlier, before it recycles (or
-  // frees) the bytes.
-  uint32_t prev = slab->refcnt.fetch_sub(1, std::memory_order_acq_rel);
-  DMRPC_CHECK_GT(prev, 0u);
-  if (prev > 1) return;
+  DMRPC_CHECK_GT(slab->refcnt, 0u);
+  if (--slab->refcnt > 0) return;
   if (slab->pool != nullptr) {
     slab->pool->Return(slab);
   } else {
@@ -51,14 +45,11 @@ void PooledBuf::resize(size_t n) {
   size_t old = size();
   if (n == 0) {
     // vector::clear semantics: keep the slab when we own it exclusively.
-    if (slab_ != nullptr && slab_->refcnt.load(std::memory_order_acquire) > 1) {
-      Release();
-    }
+    if (slab_ != nullptr && slab_->refcnt > 1) Release();
     if (slab_ != nullptr) slab_->len = 0;
     return;
   }
-  if (slab_ == nullptr || n > slab_->capacity ||
-      slab_->refcnt.load(std::memory_order_acquire) > 1) {
+  if (slab_ == nullptr || n > slab_->capacity || slab_->refcnt > 1) {
     Reallocate(n, old < n ? old : n);
   }
   if (n > old) std::memset(slab_->bytes() + old, 0, n - old);
@@ -66,8 +57,7 @@ void PooledBuf::resize(size_t n) {
 }
 
 void PooledBuf::assign(size_t n, uint8_t v) {
-  if (slab_ == nullptr || n > slab_->capacity ||
-      slab_->refcnt.load(std::memory_order_acquire) > 1) {
+  if (slab_ == nullptr || n > slab_->capacity || slab_->refcnt > 1) {
     Release();
     if (n == 0) return;
     slab_ = internal::NewSlab(n);
@@ -79,8 +69,7 @@ void PooledBuf::assign(size_t n, uint8_t v) {
 void PooledBuf::AppendBytes(const void* src, size_t len) {
   if (len == 0) return;
   size_t old = size();
-  if (slab_ == nullptr || old + len > slab_->capacity ||
-      slab_->refcnt.load(std::memory_order_acquire) > 1) {
+  if (slab_ == nullptr || old + len > slab_->capacity || slab_->refcnt > 1) {
     size_t cap = old + len;
     if (cap < 2 * capacity()) cap = 2 * capacity();
     Reallocate(cap, old);
@@ -137,7 +126,6 @@ PooledBuf BufferPool::Acquire(size_t capacity) {
 }
 
 internal::BufSlab* BufferPool::AcquireSlab(size_t capacity) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (capacity > kMaxSlabBytes) {
     // Off the packet hot path (fragmentation caps packets at the MTU):
     // serve a plain unpooled slab.
@@ -153,7 +141,7 @@ internal::BufSlab* BufferPool::AcquireSlab(size_t capacity) {
     stats_.reuses++;
     slab = list.back();
     list.pop_back();
-    slab->refcnt.store(1, std::memory_order_relaxed);
+    slab->refcnt = 1;
     slab->len = 0;
   } else {
     stats_.slab_allocs++;
@@ -165,14 +153,12 @@ internal::BufSlab* BufferPool::AcquireSlab(size_t capacity) {
 }
 
 void BufferPool::Return(internal::BufSlab* slab) {
-  std::lock_guard<std::mutex> lk(mu_);
   DMRPC_CHECK_GT(stats_.outstanding, 0u);
   stats_.outstanding--;
   free_[slab->size_class].push_back(slab);
 }
 
 size_t BufferPool::free_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
   size_t n = 0;
   for (const auto& list : free_) n += list.size();
   return n;

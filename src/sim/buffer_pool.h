@@ -1,12 +1,10 @@
 #ifndef DMRPC_SIM_BUFFER_POOL_H_
 #define DMRPC_SIM_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
-#include <mutex>
 #include <vector>
 
 #include "common/logging.h"
@@ -20,11 +18,8 @@ namespace internal {
 /// Header preceding every pooled byte buffer. The payload bytes follow
 /// the header in the same allocation.
 struct BufSlab {
-  BufferPool* pool;  // nullptr: unpooled, freed on last release
-  /// Atomic so packet buffers can cross LP boundaries under the parallel
-  /// engine: a slab referenced from two logical processes may gain and
-  /// drop handles on two worker threads in the same window.
-  std::atomic<uint32_t> refcnt;
+  BufferPool* pool;     // nullptr: unpooled, freed on last release
+  uint32_t refcnt;
   uint32_t size_class;  // freelist index; valid only when pool != nullptr
   uint32_t capacity;
   uint32_t len;
@@ -54,27 +49,21 @@ void ReleaseSlab(BufSlab* slab);
 /// covers those callers; hot paths use Acquire + AppendRaw/AppendBytes,
 /// which never zero-fill.
 ///
-/// Reference counting is thread-safe (the parallel engine forwards
-/// packets holding slab references across worker threads); mutation of
-/// the bytes and length is not, and stays confined to one logical
-/// process at a time by the engine's window discipline.
+/// Not thread-safe (the simulator is single-threaded by design); the
+/// refcount is a plain integer.
 class PooledBuf {
  public:
   PooledBuf() = default;
   PooledBuf(std::initializer_list<uint8_t> bytes) { Assign(bytes); }
 
   PooledBuf(const PooledBuf& other) : slab_(other.slab_) {
-    if (slab_ != nullptr) {
-      slab_->refcnt.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (slab_ != nullptr) ++slab_->refcnt;
   }
   PooledBuf& operator=(const PooledBuf& other) {
     if (this != &other) {
       Release();
       slab_ = other.slab_;
-      if (slab_ != nullptr) {
-        slab_->refcnt.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (slab_ != nullptr) ++slab_->refcnt;
     }
     return *this;
   }
@@ -111,10 +100,7 @@ class PooledBuf {
   uint8_t operator[](size_t i) const { return slab_->bytes()[i]; }
 
   /// Number of handles sharing the underlying slab (0 when empty).
-  uint32_t ref_count() const {
-    return slab_ != nullptr ? slab_->refcnt.load(std::memory_order_acquire)
-                            : 0;
-  }
+  uint32_t ref_count() const { return slab_ != nullptr ? slab_->refcnt : 0; }
 
   /// Drops this handle's reference; the buffer becomes empty. Inline
   /// fast path: packet handles are moved and destroyed many times per
@@ -190,15 +176,11 @@ class BufSlice {
 
   BufSlice(const BufSlice& other)
       : slab_(other.slab_), off_(other.off_), len_(other.len_) {
-    if (slab_ != nullptr) {
-      slab_->refcnt.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (slab_ != nullptr) ++slab_->refcnt;
   }
   BufSlice& operator=(const BufSlice& other) {
     if (this != &other) {
-      if (other.slab_ != nullptr) {
-        other.slab_->refcnt.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (other.slab_ != nullptr) ++other.slab_->refcnt;
       Release();
       slab_ = other.slab_;
       off_ = other.off_;
@@ -228,9 +210,7 @@ class BufSlice {
   /// A view of bytes [off, off+len) of `buf` (shares a reference).
   static BufSlice Of(const PooledBuf& buf, size_t off, size_t len) {
     DMRPC_CHECK_LE(off + len, buf.size());
-    if (buf.slab_ != nullptr) {
-      buf.slab_->refcnt.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (buf.slab_ != nullptr) ++buf.slab_->refcnt;
     return BufSlice(buf.slab_, static_cast<uint32_t>(off),
                     static_cast<uint32_t>(len));
   }
@@ -239,9 +219,7 @@ class BufSlice {
   /// the slice, not the slab).
   BufSlice Sub(size_t off, size_t len) const {
     DMRPC_CHECK_LE(off + len, len_);
-    if (slab_ != nullptr) {
-      slab_->refcnt.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (slab_ != nullptr) ++slab_->refcnt;
     return BufSlice(slab_, off_ + static_cast<uint32_t>(off),
                     static_cast<uint32_t>(len));
   }
@@ -257,19 +235,13 @@ class BufSlice {
   bool empty() const { return len_ == 0; }
 
   /// Number of handles (PooledBuf or BufSlice) sharing the slab.
-  uint32_t ref_count() const {
-    return slab_ != nullptr ? slab_->refcnt.load(std::memory_order_acquire)
-                            : 0;
-  }
+  uint32_t ref_count() const { return slab_ != nullptr ? slab_->refcnt : 0; }
 
   /// Bytes that can still be appended in place: non-zero only when this
   /// slice is the slab's sole owner and ends exactly at the slab's write
   /// frontier.
   size_t spare_capacity() const {
-    if (slab_ == nullptr ||
-        slab_->refcnt.load(std::memory_order_acquire) != 1) {
-      return 0;
-    }
+    if (slab_ == nullptr || slab_->refcnt != 1) return 0;
     if (off_ + len_ != slab_->len) return 0;
     return slab_->capacity - slab_->len;
   }
@@ -361,11 +333,6 @@ class BufferPool {
 
   void Return(internal::BufSlab* slab);
 
-  /// Guards the freelists and stats: under the parallel engine, slabs are
-  /// leased from LP 0 but released from whichever worker drops the last
-  /// packet reference. Uncontended in practice (one lock per lease or
-  /// return, not per refcount operation).
-  mutable std::mutex mu_;
   std::vector<internal::BufSlab*> free_[kNumClasses];
   Stats stats_;
 };

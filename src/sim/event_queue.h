@@ -170,7 +170,6 @@ class EventQueue {
   /// A popped event, moved out of the queue (never copied).
   struct Event {
     TimeNs t = 0;
-    uint64_t seq = 0;
     std::coroutine_handle<> handle;  // resumed if set, else fn runs
     SmallFn fn;
   };
@@ -178,18 +177,6 @@ class EventQueue {
   bool empty() const { return heap_.empty() && ready_head_ == ready_.size(); }
   size_t size() const {
     return heap_.size() + (ready_.size() - ready_head_);
-  }
-
-  /// Packed (t << 64) | seq key of the earliest event; queue must be
-  /// non-empty. Used for the deterministic k-way merge across per-LP
-  /// queues: comparing packed keys across queues picks the exact event
-  /// the single-queue engine would pop next.
-  unsigned __int128 top_key() const {
-    if (ready_head_ != ready_.size() &&
-        (heap_.empty() || ready_[ready_head_].key < heap_.front().key)) {
-      return ready_[ready_head_].key;
-    }
-    return heap_.front().key;
   }
 
   /// Time of the earliest event; queue must be non-empty.
@@ -318,7 +305,6 @@ class EventQueue {
   Event Decode(Entry min) {
     Event ev;
     ev.t = static_cast<TimeNs>(min.key >> 64);
-    ev.seq = static_cast<uint64_t>(min.key);
     if ((min.payload & 1u) != 0) {
       uint32_t slot = static_cast<uint32_t>(min.payload >> 1);
       ev.fn = std::move(slots_[slot]);

@@ -1,8 +1,5 @@
 #include "sim/simulation.h"
 
-#include <algorithm>
-#include <queue>
-
 #include "common/logging.h"
 
 namespace dmrpc::sim {
@@ -24,30 +21,15 @@ class CurrentGuard {
 }  // namespace
 
 namespace internal {
-
-thread_local WorkerCtx* g_worker_ctx = nullptr;
-
 void NotifyDetachedDone(Simulation* sim, std::coroutine_handle<> h) {
-  // The detached-root set lives on the driver thread. A root completing
-  // inside a parallel window on another LP defers its bookkeeping (and
-  // the frame destruction) to the window barrier, where the driver
-  // drains `done_detached` under the pool's synchronization.
-  WorkerCtx* w = g_worker_ctx;
-  if (w != nullptr && w->sim == sim && w->windowed && w->lp_index != 0) {
-    w->lp->done_detached.push_back(h.address());
-    return;
-  }
   --sim->live_tasks_;
   sim->detached_roots_.erase(h.address());
   h.destroy();
 }
-
 }  // namespace internal
 
-Simulation::Simulation(uint64_t seed, const SimConfig& config)
-    : config_(config), rng_(seed, /*seq=*/0xda3e39cb94b95bdbULL) {
-  lps_.push_back(std::make_unique<internal::LpState>());
-  lp0_ = lps_[0].get();
+Simulation::Simulation(uint64_t seed)
+    : rng_(seed, /*seq=*/0xda3e39cb94b95bdbULL) {
   // A fresh simulation must not inherit the thread's ambient trace
   // context: coroutine frames capture it at creation, so a context left
   // over from a previous simulation on this thread (benches run one per
@@ -56,7 +38,6 @@ Simulation::Simulation(uint64_t seed, const SimConfig& config)
 }
 
 Simulation::~Simulation() {
-  ShutdownWorkers();
   // Drop pending events without running them, then destroy live detached
   // root frames. Frames own their awaited children (via the Task temporary
   // in the parent's co_await expression), so destroying roots reclaims
@@ -65,10 +46,7 @@ Simulation::~Simulation() {
   // objects still held in user code). Both steps run while pool_ is still
   // alive, so event callbacks and frames holding pooled payload buffers
   // return them cleanly.
-  for (auto& lp : lps_) {
-    lp->staged.clear();  // staged callbacks may hold pooled payloads too
-    while (!lp->queue.empty()) lp->queue.PopMin();
-  }
+  while (!queue_.empty()) queue_.PopMin();
   for (void* addr : detached_roots_) {
     std::coroutine_handle<>::from_address(addr).destroy();
   }
@@ -77,7 +55,6 @@ Simulation::~Simulation() {
 Simulation* Simulation::Current() { return g_current; }
 
 std::string Simulation::DumpMetricsJson() {
-  RunFoldHooks();
   // Fold the simulator's own counters into the registry at dump time so
   // the hot event loop stays free of even the single extra increment.
   metrics_.GetGauge("sim.events_executed")->Set(static_cast<int64_t>(executed_));
@@ -96,203 +73,30 @@ std::string Simulation::DumpMetricsJson() {
 
 void Simulation::Spawn(Task<> task) {
   DMRPC_CHECK(task.valid()) << "spawning an empty task";
-  internal::WorkerCtx* w = internal::g_worker_ctx;
-  DMRPC_CHECK(w == nullptr || w->sim != this || !w->windowed ||
-              w->lp_index == 0)
-      << "Spawn from a parallel window on LP " << w->lp_index;
   Task<>::Handle h = task.Release();
   h.promise().detached_owner = this;
   ++live_tasks_;
   detached_roots_.insert(h.address());
-  ScheduleHandle(Now(), h);
-}
-
-void Simulation::SpawnOn(uint32_t lp, Task<> task) {
-  if (lp == 0 || lps_.size() == 1) {
-    Spawn(std::move(task));
-    return;
-  }
-  DMRPC_CHECK_LT(lp, lps_.size());
-  internal::WorkerCtx* w = internal::g_worker_ctx;
-  DMRPC_CHECK(w == nullptr || w->sim != this)
-      << "SpawnOn is driver-side only (call it before running)";
-  DMRPC_CHECK(task.valid()) << "spawning an empty task";
-  Task<>::Handle h = task.Release();
-  h.promise().detached_owner = this;
-  ++live_tasks_;
-  detached_roots_.insert(h.address());
-  // Same-instant push into the destination LP's ring: construction-order
-  // seq assignment stays identical to the sequential engine's Spawn.
-  lps_[lp]->queue.PushReadyHandle(now_, next_seq_++, h);
-}
-
-uint32_t Simulation::AddLp(TimeNs min_cross_lp_delay) {
-  DMRPC_CHECK(lp_enabled())
-      << "AddLp on a sequential simulation (worker_threads == 0)";
-  DMRPC_CHECK(!threads_started_) << "AddLp after the first parallel window";
-  internal::WorkerCtx* w = internal::g_worker_ctx;
-  DMRPC_CHECK(w == nullptr || w->sim != this) << "AddLp inside a dispatch";
-  DMRPC_CHECK_GT(min_cross_lp_delay, 0)
-      << "cross-LP lookahead must be positive";
-  if (min_cross_lp_delay < lookahead_) lookahead_ = min_cross_lp_delay;
-  lps_.push_back(std::make_unique<internal::LpState>());
-  lps_.back()->lp_now = now_;
-  return static_cast<uint32_t>(lps_.size() - 1);
-}
-
-void Simulation::PinSequential(const char* reason) {
-  if (pin_reason_ == nullptr) pin_reason_ = reason;
-}
-
-size_t Simulation::AddFoldHook(std::function<void()> hook) {
-  fold_hooks_.push_back(std::move(hook));
-  return fold_hooks_.size() - 1;
-}
-
-void Simulation::RemoveFoldHook(size_t token) {
-  DMRPC_CHECK_LT(token, fold_hooks_.size());
-  fold_hooks_[token] = nullptr;
-}
-
-void Simulation::RunFoldHooks() {
-  if (fold_hooks_.empty()) return;
-  for (auto& hook : fold_hooks_) {
-    if (hook) hook();
-  }
+  ScheduleHandle(now_, h);
 }
 
 void Simulation::FlushTimeline(TimeNs up_to) {
   if (up_to < tl_next_) return;
-  // Fold sharded counters so boundary B reads "registry after every event
-  // with t < B" -- the engine guarantees no event with t >= B has run yet.
-  RunFoldHooks();
   timeline_.SampleUpTo(up_to, &metrics_, executed_, live_tasks_, &slo_,
                        &tracer_);
   tl_next_ = timeline_.next_boundary();
 }
 
 void Simulation::ScheduleHandle(TimeNs t, std::coroutine_handle<> h) {
-  internal::WorkerCtx* w = internal::g_worker_ctx;
-  if (w != nullptr && w->sim == this) {
-    ScheduleHandleCtx(w, w->lp_index, t, h);
-    return;
-  }
   DMRPC_CHECK_GE(t, now_) << "scheduling into the past (t=" << t
                           << ", now=" << now_ << ")";
   // Same-instant wake-ups (channel pushes, completions, yields -- most of
   // the events in an RPC workload) take the O(1) ready ring; only events
   // with a future timestamp pay for a heap insert.
   if (t == now_) {
-    lp0_->queue.PushReadyHandle(t, next_seq_++, h);
+    queue_.PushReadyHandle(t, next_seq_++, h);
   } else {
-    lp0_->queue.PushHandle(t, next_seq_++, h);
-  }
-}
-
-void Simulation::ScheduleHandleCtx(internal::WorkerCtx* w, uint32_t dest,
-                                   TimeNs t, std::coroutine_handle<> h) {
-  internal::LpState* self = w->lp;
-  if (!w->windowed) {
-    // Serial merge path: every dispatch is globally ordered, so any
-    // destination can take a committed sequence number immediately.
-    DMRPC_CHECK_GE(t, now_) << "scheduling into the past (t=" << t
-                            << ", now=" << now_ << ")";
-    internal::LpState* lp = lps_[dest].get();
-    if (t == now_) {
-      lp->queue.PushReadyHandle(t, next_seq_++, h);
-    } else {
-      lp->queue.PushHandle(t, next_seq_++, h);
-    }
-    return;
-  }
-  if (dest == w->lp_index) {
-    DMRPC_CHECK_GE(t, self->lp_now)
-        << "scheduling into the past (t=" << t << ", now=" << self->lp_now
-        << ")";
-    if (t < w->window_end) {
-      // Stays inside this window: a provisional key orders it within this
-      // LP; the barrier replay assigns the global number afterwards.
-      uint64_t seq = self->prov_seq++;
-      if (t == self->lp_now) {
-        self->queue.PushReadyHandle(t, seq, h);
-      } else {
-        self->queue.PushHandle(t, seq, h);
-      }
-      self->pushes.push_back(
-          internal::PushRec{t, internal::PushRec::kInWindow});
-      return;
-    }
-  } else {
-    DMRPC_CHECK_GE(t, w->window_end)
-        << "cross-LP send below the lookahead bound (t=" << t
-        << ", window_end=" << w->window_end << ", dest=" << dest << ")";
-  }
-  self->pushes.push_back(
-      internal::PushRec{t, static_cast<uint32_t>(self->staged.size())});
-  internal::Staged st;
-  st.t = t;
-  st.dest_lp = dest;
-  st.handle = h;
-  self->staged.push_back(std::move(st));
-}
-
-void Simulation::ScheduleFnCtx(internal::WorkerCtx* w, uint32_t dest, TimeNs t,
-                               SmallFn fn) {
-  internal::LpState* self = w->lp;
-  if (!w->windowed) {
-    DMRPC_CHECK_GE(t, now_) << "scheduling into the past (t=" << t
-                            << ", now=" << now_ << ")";
-    internal::LpState* lp = lps_[dest].get();
-    if (t == now_) {
-      lp->queue.PushReadyFn(t, next_seq_++, std::move(fn));
-    } else {
-      lp->queue.PushFn(t, next_seq_++, std::move(fn));
-    }
-    return;
-  }
-  if (dest == w->lp_index) {
-    DMRPC_CHECK_GE(t, self->lp_now)
-        << "scheduling into the past (t=" << t << ", now=" << self->lp_now
-        << ")";
-    if (t < w->window_end) {
-      uint64_t seq = self->prov_seq++;
-      if (t == self->lp_now) {
-        self->queue.PushReadyFn(t, seq, std::move(fn));
-      } else {
-        self->queue.PushFn(t, seq, std::move(fn));
-      }
-      self->pushes.push_back(
-          internal::PushRec{t, internal::PushRec::kInWindow});
-      return;
-    }
-  } else {
-    DMRPC_CHECK_GE(t, w->window_end)
-        << "cross-LP send below the lookahead bound (t=" << t
-        << ", window_end=" << w->window_end << ", dest=" << dest << ")";
-  }
-  self->pushes.push_back(
-      internal::PushRec{t, static_cast<uint32_t>(self->staged.size())});
-  internal::Staged st;
-  st.t = t;
-  st.dest_lp = dest;
-  st.fn = std::move(fn);
-  self->staged.push_back(std::move(st));
-}
-
-void Simulation::ScheduleFnOnLp(uint32_t dest, TimeNs t, SmallFn fn) {
-  DMRPC_CHECK_LT(dest, lps_.size());
-  internal::WorkerCtx* w = internal::g_worker_ctx;
-  if (w != nullptr && w->sim == this) {
-    ScheduleFnCtx(w, dest, t, std::move(fn));
-    return;
-  }
-  DMRPC_CHECK_GE(t, now_) << "scheduling into the past (t=" << t
-                          << ", now=" << now_ << ")";
-  internal::LpState* lp = lps_[dest].get();
-  if (t == now_) {
-    lp->queue.PushReadyFn(t, next_seq_++, std::move(fn));
-  } else {
-    lp->queue.PushFn(t, next_seq_++, std::move(fn));
+    queue_.PushHandle(t, next_seq_++, h);
   }
 }
 
@@ -310,429 +114,36 @@ void Simulation::Dispatch(EventQueue::Event ev) {
   }
 }
 
-void Simulation::DispatchOn(internal::LpState* lp, uint32_t lp_index,
-                            EventQueue::Event ev) {
-  internal::WorkerCtx ctx;
-  ctx.sim = this;
-  ctx.lp = lp;
-  ctx.lp_index = lp_index;
-  ctx.windowed = false;
-  internal::WorkerCtx* prev = internal::g_worker_ctx;
-  internal::g_worker_ctx = &ctx;
-  now_ = ev.t;
-  lp->lp_now = ev.t;
-  ++executed_;
-  obs::SetCurrentTraceContext({});
-  if (ev.handle) {
-    ev.handle.resume();
-  } else {
-    ev.fn();
-  }
-  internal::g_worker_ctx = prev;
-}
-
 bool Simulation::Step() {
-  if (lps_.size() == 1) {
-    if (lp0_->queue.empty()) return false;
-    CurrentGuard guard(this);
-    if (lp0_->queue.top_time() >= tl_next_) {
-      FlushTimeline(lp0_->queue.top_time());
-    }
-    Dispatch(lp0_->queue.PopMin());
-    RunFoldHooks();
-    return true;
-  }
-  internal::WorkerCtx* w = internal::g_worker_ctx;
-  DMRPC_CHECK(w == nullptr || w->sim != this)
-      << "nested Step inside a dispatch on an LP simulation";
-  internal::LpState* best = nullptr;
-  uint32_t best_idx = 0;
-  unsigned __int128 best_key = 0;
-  for (uint32_t i = 0; i < lps_.size(); ++i) {
-    internal::LpState* lp = lps_[i].get();
-    if (lp->queue.empty()) continue;
-    unsigned __int128 k = lp->queue.top_key();
-    if (best == nullptr || k < best_key) {
-      best = lp;
-      best_idx = i;
-      best_key = k;
-    }
-  }
-  if (best == nullptr) return false;
+  if (queue_.empty()) return false;
   CurrentGuard guard(this);
-  if (static_cast<TimeNs>(best_key >> 64) >= tl_next_) {
-    FlushTimeline(static_cast<TimeNs>(best_key >> 64));
-  }
-  DispatchOn(best, best_idx, best->queue.PopMin());
-  RunFoldHooks();
+  if (queue_.top_time() >= tl_next_) FlushTimeline(queue_.top_time());
+  Dispatch(queue_.PopMin());
   return true;
 }
 
 void Simulation::Run() {
-  if (lps_.size() == 1) {
-    // The guard sits outside the loop: one thread-local save/restore per
-    // run, not per event (nested Run/RunUntil calls re-guard themselves).
-    CurrentGuard guard(this);
-    EventQueue& q = lp0_->queue;
-    while (!q.empty()) {
-      // Sample every boundary the next event is about to step over (one
-      // compare against a cached TimeNs when the timeline is off).
-      if (q.top_time() >= tl_next_) FlushTimeline(q.top_time());
-      Dispatch(q.PopMin());
-    }
-    RunFoldHooks();
-    return;
+  // The guard sits outside the loop: one thread-local save/restore per
+  // run, not per event (nested Run/RunUntil calls re-guard themselves).
+  CurrentGuard guard(this);
+  while (!queue_.empty()) {
+    // Sample every boundary the next event is about to step over (one
+    // compare against a cached TimeNs when the timeline is off).
+    if (queue_.top_time() >= tl_next_) FlushTimeline(queue_.top_time());
+    Dispatch(queue_.PopMin());
   }
-  RunMulti(std::numeric_limits<TimeNs>::max(), /*has_deadline=*/false);
 }
 
 void Simulation::RunUntil(TimeNs deadline) {
-  if (lps_.size() == 1) {
-    CurrentGuard guard(this);
-    EventQueue& q = lp0_->queue;
-    while (!q.empty() && q.top_time() <= deadline) {
-      if (q.top_time() >= tl_next_) FlushTimeline(q.top_time());
-      Dispatch(q.PopMin());
-    }
-    if (now_ < deadline) now_ = deadline;
-    // Boundaries between the last event and the deadline sample as empty
-    // windows: a deadline-bounded run covers its full grid.
-    FlushTimeline(deadline);
-    RunFoldHooks();
-    return;
-  }
-  RunMulti(deadline, /*has_deadline=*/true);
-}
-
-void Simulation::RunMulti(TimeNs deadline, bool has_deadline) {
-  internal::WorkerCtx* w = internal::g_worker_ctx;
-  DMRPC_CHECK(w == nullptr || w->sim != this)
-      << "nested Run inside a dispatch on an LP simulation";
   CurrentGuard guard(this);
-  if (pin_reason_ == nullptr && !tracer_.enabled()) {
-    RunWindowed(deadline);
-  } else {
-    RunSerialMerge(deadline);
+  while (!queue_.empty() && queue_.top_time() <= deadline) {
+    if (queue_.top_time() >= tl_next_) FlushTimeline(queue_.top_time());
+    Dispatch(queue_.PopMin());
   }
-  if (has_deadline && now_ < deadline) now_ = deadline;
-  if (has_deadline) FlushTimeline(deadline);
-  RunFoldHooks();
-}
-
-TimeNs Simulation::NextEventTimeMulti() const {
-  TimeNs best = -1;
-  for (const auto& lp : lps_) {
-    if (lp->queue.empty()) continue;
-    TimeNs t = lp->queue.top_time();
-    if (best < 0 || t < best) best = t;
-  }
-  return best;
-}
-
-void Simulation::RunSerialMerge(TimeNs deadline) {
-  // A k-way merge over the per-LP queues by packed (t, seq) key: the
-  // exact global order the sequential engine executes, just read from k
-  // queues instead of one. Sequence numbers are assigned from the same
-  // global counter at push time, so the two layouts are interchangeable
-  // mid-run (a pinned run can follow a windowed one and vice versa).
-  for (;;) {
-    internal::LpState* best = nullptr;
-    uint32_t best_idx = 0;
-    unsigned __int128 best_key = 0;
-    for (uint32_t i = 0; i < lps_.size(); ++i) {
-      internal::LpState* lp = lps_[i].get();
-      if (lp->queue.empty()) continue;
-      unsigned __int128 k = lp->queue.top_key();
-      if (best == nullptr || k < best_key) {
-        best = lp;
-        best_idx = i;
-        best_key = k;
-      }
-    }
-    if (best == nullptr) return;
-    TimeNs t = static_cast<TimeNs>(best_key >> 64);
-    if (t > deadline) return;
-    if (t >= tl_next_) FlushTimeline(t);
-    DispatchOn(best, best_idx, best->queue.PopMin());
-  }
-}
-
-void Simulation::RunWindowed(TimeNs deadline) {
-  EnsureWorkers();
-  constexpr TimeNs kMax = std::numeric_limits<TimeNs>::max();
-  for (;;) {
-    TimeNs top = NextEventTimeMulti();
-    if (top < 0 || top > deadline) return;
-    // Between windows every event with t < top has committed, so pending
-    // boundaries <= top sample here, on the driving thread, from fully
-    // folded state -- the same instant the serial paths sample them.
-    if (top >= tl_next_) FlushTimeline(top);
-    // Conservative synchronization: no LP can receive a cross-LP event
-    // earlier than (earliest pending time + lookahead), so everything in
-    // [top, window_end) is causally closed and can run concurrently.
-    TimeNs window_end = lookahead_ >= kMax - top ? kMax : top + lookahead_;
-    if (deadline < kMax && window_end > deadline + 1) {
-      window_end = deadline + 1;  // events at the deadline still run
-    }
-    // Never execute across a sample boundary: clamping the window to the
-    // next boundary keeps every boundary on a barrier, where the shard
-    // folds and the commit order match the sequential engine exactly.
-    // FlushTimeline left tl_next_ > top, so the window stays non-empty.
-    if (window_end > tl_next_) window_end = tl_next_;
-    ExecuteWindow(window_end);
-    CommitWindow();
-  }
-}
-
-void Simulation::EnsureWorkers() {
-  if (threads_started_) return;
-  threads_started_ = true;
-  int n = config_.worker_threads - 1;
-  int max_useful = static_cast<int>(lps_.size()) - 1;
-  if (n > max_useful) n = max_useful;
-  if (n <= 0) return;
-  n_workers_ = n;
-  slot_active_.assign(static_cast<size_t>(n), 0);
-  slots_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    slots_.push_back(std::make_unique<internal::WorkerSlot>());
-  }
-  threads_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerMain(i); });
-  }
-}
-
-void Simulation::ShutdownWorkers() {
-  for (auto& slot : slots_) {
-    {
-      std::lock_guard<std::mutex> lk(slot->mu);
-      slot->shutdown = true;
-    }
-    slot->cv.notify_one();
-  }
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-  slots_.clear();
-  n_workers_ = 0;
-}
-
-void Simulation::ExecuteWindow(TimeNs window_end) {
-  // Wake only workers whose LPs have events inside the window; idle
-  // phases (all pending work on LP 0) then cost no synchronization at
-  // all.
-  int active = 0;
-  for (int wi = 0; wi < n_workers_; ++wi) {
-    bool has_work = false;
-    for (uint32_t i = 1 + static_cast<uint32_t>(wi); i < lps_.size();
-         i += static_cast<uint32_t>(n_workers_)) {
-      const EventQueue& q = lps_[i]->queue;
-      if (!q.empty() && q.top_time() < window_end) {
-        has_work = true;
-        break;
-      }
-    }
-    slot_active_[wi] = has_work ? 1 : 0;
-    if (has_work) ++active;
-  }
-  if (active > 0) {
-    {
-      std::lock_guard<std::mutex> lk(done_mu_);
-      pending_workers_ = active;
-    }
-    for (int wi = 0; wi < n_workers_; ++wi) {
-      if (!slot_active_[wi]) continue;
-      internal::WorkerSlot& slot = *slots_[wi];
-      {
-        std::lock_guard<std::mutex> lk(slot.mu);
-        ++slot.epoch;
-        slot.window_end = window_end;
-      }
-      slot.cv.notify_one();
-    }
-  }
-  if (n_workers_ == 0) {
-    // Single-executor windowed mode: the driving thread drains every LP,
-    // still through the full window/replay machinery.
-    for (uint32_t i = 0; i < lps_.size(); ++i) {
-      DrainWindow(lps_[i].get(), i, window_end);
-    }
-  } else {
-    DrainWindow(lp0_, 0, window_end);
-  }
-  if (active > 0) {
-    std::unique_lock<std::mutex> lk(done_mu_);
-    done_cv_.wait(lk, [this] { return pending_workers_ == 0; });
-  }
-}
-
-void Simulation::WorkerMain(int worker_index) {
-  CurrentGuard guard(this);
-  internal::WorkerSlot& slot = *slots_[worker_index];
-  uint64_t seen = 0;
-  for (;;) {
-    TimeNs window_end;
-    {
-      std::unique_lock<std::mutex> lk(slot.mu);
-      slot.cv.wait(lk, [&] { return slot.epoch != seen || slot.shutdown; });
-      if (slot.shutdown) return;
-      seen = slot.epoch;
-      window_end = slot.window_end;
-    }
-    for (uint32_t i = 1 + static_cast<uint32_t>(worker_index);
-         i < lps_.size(); i += static_cast<uint32_t>(n_workers_)) {
-      DrainWindow(lps_[i].get(), i, window_end);
-    }
-    {
-      std::lock_guard<std::mutex> lk(done_mu_);
-      if (--pending_workers_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
-void Simulation::DrainWindow(internal::LpState* lp, uint32_t lp_index,
-                             TimeNs window_end) {
-  internal::WorkerCtx ctx;
-  ctx.sim = this;
-  ctx.lp = lp;
-  ctx.lp_index = lp_index;
-  ctx.window_end = window_end;
-  ctx.windowed = true;
-  internal::WorkerCtx* prev = internal::g_worker_ctx;
-  internal::g_worker_ctx = &ctx;
-  EventQueue& q = lp->queue;
-  while (!q.empty() && q.top_time() < window_end) {
-    EventQueue::Event ev = q.PopMin();
-    lp->lp_now = ev.t;
-    lp->log.push_back(internal::LogEntry{
-        ev.t, ev.seq, static_cast<uint32_t>(lp->pushes.size()), 0});
-    size_t log_idx = lp->log.size() - 1;
-    ++lp->window_executed;
-    // Per-event ambient reset, exactly as in the sequential dispatch --
-    // and per worker thread, since the slot is thread-local: two LPs can
-    // never observe (or cross-stitch) each other's trace context.
-    obs::SetCurrentTraceContext({});
-    if (ev.handle) {
-      ev.handle.resume();
-    } else {
-      ev.fn();
-    }
-    internal::LogEntry& entry = lp->log[log_idx];
-    entry.push_count =
-        static_cast<uint32_t>(lp->pushes.size()) - entry.push_begin;
-  }
-  internal::g_worker_ctx = prev;
-}
-
-void Simulation::CommitWindow() {
-  internal::LpState* only = nullptr;
-  int n_active = 0;
-  for (auto& lp : lps_) {
-    if (lp->log.empty()) continue;
-    ++n_active;
-    only = lp.get();
-  }
-  if (n_active == 1) {
-    // Single-LP window: that LP's local dispatch order is already the
-    // global order, so sequence numbers are assigned by one linear walk
-    // (the common case whenever traffic burns down to host-side work).
-    for (const internal::LogEntry& entry : only->log) {
-      for (uint32_t j = 0; j < entry.push_count; ++j) {
-        const internal::PushRec& pr = only->pushes[entry.push_begin + j];
-        uint64_t g = next_seq_++;
-        if (pr.staged != internal::PushRec::kInWindow) {
-          only->staged[pr.staged].gseq = g;
-        }
-      }
-    }
-  } else if (n_active > 1) {
-    ReplayLogs();
-  }
-  // Distribute staged events into their destination queues under the
-  // final global keys, then fold clocks/counters and reset the scratch.
-  for (auto& lp : lps_) {
-    for (internal::Staged& st : lp->staged) {
-      internal::LpState* dest = lps_[st.dest_lp].get();
-      if (st.handle) {
-        dest->queue.PushHandle(st.t, st.gseq, st.handle);
-      } else {
-        dest->queue.PushFn(st.t, st.gseq, std::move(st.fn));
-      }
-    }
-    if (!lp->log.empty() && lp->lp_now > now_) now_ = lp->lp_now;
-    executed_ += lp->window_executed;
-    for (void* addr : lp->done_detached) {
-      --live_tasks_;
-      detached_roots_.erase(addr);
-      std::coroutine_handle<>::from_address(addr).destroy();
-    }
-    lp->done_detached.clear();
-    lp->window_executed = 0;
-    lp->log.clear();
-    lp->pushes.clear();
-    lp->staged.clear();
-    lp->prov_seq = internal::kProvisionalSeqBase;
-  }
-}
-
-void Simulation::ReplayLogs() {
-  // Re-derives the global (t, seq) order of everything the window just
-  // executed, without re-running anything: pushes only ever happen inside
-  // dispatches, so walking dispatches in global key order and numbering
-  // their recorded pushes reproduces the sequential engine's counter
-  // assignment exactly. Events already committed before the window seed
-  // the merge under their own keys; in-window pushes re-enter it as stubs
-  // under their freshly assigned keys (a child never pops before its
-  // parent: same t means a larger seq).
-  struct Stub {
-    TimeNs t;
-    uint64_t g;
-    uint32_t lp;
-  };
-  struct StubGreater {
-    bool operator()(const Stub& a, const Stub& b) const {
-      return a.t != b.t ? a.t > b.t : a.g > b.g;
-    }
-  };
-  std::priority_queue<Stub, std::vector<Stub>, StubGreater> merge;
-  std::vector<size_t> cursor(lps_.size(), 0);
-  size_t total = 0;
-  for (uint32_t i = 0; i < lps_.size(); ++i) {
-    internal::LpState* lp = lps_[i].get();
-    total += lp->log.size();
-    for (const internal::LogEntry& entry : lp->log) {
-      if (entry.seq < internal::kProvisionalSeqBase) {
-        merge.push(Stub{entry.t, entry.seq, i});
-      }
-    }
-  }
-  size_t pops = 0;
-  while (!merge.empty()) {
-    Stub s = merge.top();
-    merge.pop();
-    ++pops;
-    internal::LpState* lp = lps_[s.lp].get();
-    DMRPC_CHECK_LT(cursor[s.lp], lp->log.size()) << "window replay desync";
-    const internal::LogEntry& entry = lp->log[cursor[s.lp]++];
-    DMRPC_CHECK_EQ(entry.t, s.t) << "window replay time mismatch";
-    if (entry.seq < internal::kProvisionalSeqBase) {
-      DMRPC_CHECK_EQ(entry.seq, s.g) << "window replay seq mismatch";
-    } else {
-      DMRPC_CHECK_GE(entry.seq, internal::kProvisionalSeqBase)
-          << "window replay committedness mismatch";
-    }
-    for (uint32_t j = 0; j < entry.push_count; ++j) {
-      const internal::PushRec& pr = lp->pushes[entry.push_begin + j];
-      uint64_t g = next_seq_++;
-      if (pr.staged == internal::PushRec::kInWindow) {
-        merge.push(Stub{pr.t, g, s.lp});
-      } else {
-        lp->staged[pr.staged].gseq = g;
-      }
-    }
-  }
-  DMRPC_CHECK_EQ(pops, total)
-      << "window replay left undispatched log entries";
+  if (now_ < deadline) now_ = deadline;
+  // Boundaries between the last event and the deadline sample as empty
+  // windows: a deadline-bounded run covers its full grid.
+  FlushTimeline(deadline);
 }
 
 void DelayAwaiter::await_suspend(std::coroutine_handle<> h) const {
