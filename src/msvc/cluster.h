@@ -46,10 +46,10 @@ struct ClusterConfig {
   uint32_t dm_frames = 1u << 16;
 
   net::NetworkConfig network;
-  /// Switch graph the hosts hang off. Defaults to the seed single-ToR
-  /// model; set kind = kClos (e.g. via TopologyConfig::Clos) for a
-  /// spine/leaf fabric. num_hosts is overridden with num_nodes at
-  /// construction so the two can never disagree.
+  /// Switch graph the hosts hang off. Defaults to the paper's single-ToR
+  /// rack; use TopologyConfig::Clos for a spine/leaf fabric. num_hosts is
+  /// overridden with num_nodes at construction so the two can never
+  /// disagree.
   net::TopologyConfig topology;
   mem::MemoryConfig memory;
   rpc::RpcConfig rpc;

@@ -18,7 +18,6 @@ struct RunState {
   TimeNs measure_start = 0;
   TimeNs measure_end = 0;
   bool stop = false;
-  int outstanding = 0;
   WorkloadResult result;
 };
 
@@ -30,7 +29,6 @@ sim::Task<> IssueOne(sim::Simulation* sim, std::shared_ptr<RunState> state) {
   if (in_window) state->result.offered++;
   auto outcome = co_await state->fn();
   TimeNs end = sim->Now();
-  state->outstanding--;
   if (!in_window || end > state->measure_end) co_return;
   if (outcome.ok()) {
     state->result.completed++;
@@ -44,30 +42,7 @@ sim::Task<> IssueOne(sim::Simulation* sim, std::shared_ptr<RunState> state) {
 sim::Task<> ClosedLoopWorker(sim::Simulation* sim,
                              std::shared_ptr<RunState> state) {
   while (!state->stop) {
-    state->outstanding++;
     co_await IssueOne(sim, state);
-  }
-}
-
-sim::Task<> OpenLoopGenerator(sim::Simulation* sim,
-                              std::shared_ptr<RunState> state,
-                              double rate_rps, int max_outstanding) {
-  DMRPC_CHECK_GT(rate_rps, 0.0);
-  double mean_gap_ns = static_cast<double>(kSecond) / rate_rps;
-  while (!state->stop) {
-    TimeNs gap = static_cast<TimeNs>(sim->rng().Exponential(mean_gap_ns));
-    co_await sim::Delay(gap);
-    if (state->stop) break;
-    if (state->outstanding >= max_outstanding) {
-      if (sim->Now() >= state->measure_start &&
-          sim->Now() < state->measure_end) {
-        state->result.offered++;
-        state->result.failed++;
-      }
-      continue;
-    }
-    state->outstanding++;
-    sim->Spawn(IssueOne(sim, state));
   }
 }
 
@@ -111,23 +86,6 @@ WorkloadResult RunClosedLoop(sim::Simulation* sim, const RequestFn& fn,
   if (hooks.on_measure_end) hooks.on_measure_end();
   state->stop = true;
   // Drain: let in-flight requests finish (they no longer record).
-  sim->RunFor(measure / 4 + 10 * kMillisecond);
-  return std::move(state->result);
-}
-
-WorkloadResult RunOpenLoop(sim::Simulation* sim, const RequestFn& fn,
-                           double rate_rps, TimeNs warmup, TimeNs measure,
-                           int max_outstanding, const WindowHooks& hooks) {
-  auto state = std::make_shared<RunState>();
-  state->fn = fn;
-  state->measure_start = sim->Now() + warmup;
-  state->measure_end = state->measure_start + measure;
-  state->result.window = measure;
-  sim->Spawn(OpenLoopGenerator(sim, state, rate_rps, max_outstanding));
-  if (hooks.on_measure_start) sim->At(state->measure_start, hooks.on_measure_start);
-  sim->RunUntil(state->measure_end);
-  if (hooks.on_measure_end) hooks.on_measure_end();
-  state->stop = true;
   sim->RunFor(measure / 4 + 10 * kMillisecond);
   return std::move(state->result);
 }

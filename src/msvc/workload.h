@@ -48,19 +48,11 @@ struct WindowHooks {
 
 /// Closed-loop load: `workers` concurrent callers issue back-to-back
 /// requests for warmup + measure time; latencies and completions are
-/// recorded during the measurement window only.
+/// recorded during the measurement window only. (Open-loop load:
+/// workload::RunOpenLoopMulti.)
 WorkloadResult RunClosedLoop(sim::Simulation* sim, const RequestFn& fn,
                              int workers, TimeNs warmup, TimeNs measure,
                              const WindowHooks& hooks = WindowHooks());
-
-/// Open-loop load: Poisson arrivals at `rate_rps`; each arrival spawns an
-/// independent request (up to `max_outstanding`, beyond which arrivals
-/// are dropped and counted as failed -- an overloaded system's latency
-/// climbs long before that cap binds).
-WorkloadResult RunOpenLoop(sim::Simulation* sim, const RequestFn& fn,
-                           double rate_rps, TimeNs warmup, TimeNs measure,
-                           int max_outstanding = 20000,
-                           const WindowHooks& hooks = WindowHooks());
 
 }  // namespace dmrpc::msvc
 

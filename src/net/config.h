@@ -23,8 +23,6 @@ struct NetworkConfig {
   uint32_t mtu_bytes = 4096;
   /// Fixed per-packet wire overhead (Ethernet + IP + UDP headers).
   uint32_t wire_header_bytes = 46;
-  /// Probability that the switch drops a packet (loss injection).
-  double loss_probability = 0.0;
 
   double bytes_per_ns() const { return GbpsToBytesPerNs(link_gbps); }
 

@@ -113,34 +113,25 @@ Fabric::Fabric(sim::Simulation* sim, const NetworkConfig& cfg,
         DropReasonName(static_cast<DropReason>(i)));
   }
   nics_.reserve(topo_.num_hosts);
-  if (topo_.kind == TopologyKind::kSingleTor) {
-    // The seed rack: this construction sequence (and the event/rng
-    // schedule it implies) must stay byte-identical to the pre-topology
-    // fabric.
-    egress_queues_.reserve(topo_.num_hosts);
-    for (uint32_t i = 0; i < topo_.num_hosts; ++i) {
-      nics_.push_back(std::make_unique<Nic>(sim_, this, i, cfg_));
-      egress_queues_.push_back(std::make_unique<sim::Channel<Packet>>());
-      sim_->Spawn(EgressPump(i));
-    }
-    return;
-  }
   for (uint32_t i = 0; i < topo_.num_hosts; ++i) {
     nics_.push_back(std::make_unique<Nic>(sim_, this, i, cfg_));
   }
-  BuildClos();
+  BuildSwitches();
 }
 
-void Fabric::BuildClos() {
-  DMRPC_CHECK_GT(topo_.num_spines, 0u);
+void Fabric::BuildSwitches() {
   DMRPC_CHECK_GT(topo_.num_leaves, 0u);
   DMRPC_CHECK_LE(topo_.num_leaves, topo_.num_hosts)
       << "more leaves than hosts";
-  m_spine_hops_ = sim_->metrics().GetCounter("net.fabric.spine_hops");
-  m_leaf_local_ = sim_->metrics().GetCounter("net.fabric.leaf_local");
-  m_port_enqueued_ = sim_->metrics().GetCounter("net.fabric.port_enqueued");
-  m_max_port_depth_ = sim_->metrics().GetGauge("net.fabric.max_port_depth");
-  uint32_t hpl = topo_.HostsPerLeaf();
+  DMRPC_CHECK(topo_.num_spines > 0 || topo_.num_leaves == 1)
+      << "leaves without spines have no route between them";
+  if (topo_.num_spines > 0) {
+    m_spine_hops_ = sim_->metrics().GetCounter("net.fabric.spine_hops");
+    m_leaf_local_ = sim_->metrics().GetCounter("net.fabric.leaf_local");
+    m_port_enqueued_ = sim_->metrics().GetCounter("net.fabric.port_enqueued");
+    m_max_port_depth_ = sim_->metrics().GetGauge("net.fabric.max_port_depth");
+  }
+  hosts_per_leaf_ = topo_.HostsPerLeaf();
   uint32_t next_track = 1000;
   switches_.resize(topo_.NumSwitches());
   for (uint32_t l = 0; l < topo_.num_leaves; ++l) {
@@ -149,7 +140,7 @@ void Fabric::BuildClos() {
     sw.index = l;
     // Down-ports for every host slot (ragged tail slots exist but never
     // see traffic), then one up-port per spine.
-    sw.ports.resize(hpl + topo_.num_spines);
+    sw.ports.resize(hosts_per_leaf_ + topo_.num_spines);
     for (auto& p : sw.ports) {
       p = std::make_unique<PortQueue>();
       p->track = next_track++;
@@ -169,29 +160,23 @@ void Fabric::BuildClos() {
   // same-instant wakeups resolve in a fixed order run over run.
   for (SwitchId sw = 0; sw < switches_.size(); ++sw) {
     for (uint32_t port = 0; port < switches_[sw].ports.size(); ++port) {
-      sim_->Spawn(ClosPortPump(sw, port));
+      sim_->Spawn(PortPump(sw, port));
     }
   }
 }
 
 void Fabric::SetSwitchUp(SwitchId sw, bool up) {
   DMRPC_CHECK_LT(sw, num_switches());
-  if (topo_.kind == TopologyKind::kSingleTor) {
-    tor_up_ = up;
-    return;
-  }
   switches_[sw].up = up;
 }
 
 bool Fabric::switch_up(SwitchId sw) const {
   DMRPC_CHECK_LT(sw, num_switches());
-  if (topo_.kind == TopologyKind::kSingleTor) return tor_up_;
   return switches_[sw].up;
 }
 
 SwitchId Fabric::SpineForFlow(NodeId src, Port src_port, NodeId dst,
                               Port dst_port) const {
-  DMRPC_CHECK(topo_.kind == TopologyKind::kClos);
   uint32_t live = 0;
   for (uint32_t s = 0; s < topo_.num_spines; ++s) {
     if (switches_[topo_.FirstSpine() + s].up) live++;
@@ -228,71 +213,11 @@ std::vector<PortStat> Fabric::PortStats() const {
 }
 
 void Fabric::SendToSwitch(Packet pkt) {
-  if (topo_.kind == TopologyKind::kClos) {
-    // Cable from host to its leaf.
-    sim_->After(cfg_.link_propagation_ns,
-                InlineHop([this, p = std::move(pkt)]() mutable {
-                  ClosHostIngress(std::move(p));
-                }));
-    return;
-  }
-  // Cable from host to switch.
+  // Cable from host to its leaf.
   sim_->After(cfg_.link_propagation_ns,
               InlineHop([this, p = std::move(pkt)]() mutable {
-                SwitchIngress(std::move(p));
+                HostIngress(std::move(p));
               }));
-}
-
-void Fabric::SwitchIngress(Packet pkt) {
-  if (pkt.dst >= num_nodes()) {
-    switch_stats_.dropped_unknown_dst++;
-    CountDrop(DropReason::kUnknownDst, pkt);
-    return;
-  }
-  if (!tor_up_) {
-    switch_stats_.dropped_switch_down++;
-    CountDrop(DropReason::kOutage, pkt);
-    return;
-  }
-  if (drop_filter_ && drop_filter_(pkt)) {
-    switch_stats_.dropped_loss++;
-    CountDrop(DropReason::kLoss, pkt);
-    return;
-  }
-  // Legacy uniform-loss shim (kept ahead of the fault hook so existing
-  // seeded tests observe the exact same rng draw sequence).
-  if (cfg_.loss_probability > 0.0 &&
-      sim_->rng().Bernoulli(cfg_.loss_probability)) {
-    switch_stats_.dropped_loss++;
-    CountDrop(DropReason::kLoss, pkt);
-    return;
-  }
-  if (fault_hook_ != nullptr) {
-    // Uplink traversal: the sender's host->switch cable.
-    if (!fault_hook_->IsLinkUp(pkt.src, LinkDir::kUplink)) {
-      DropFaulted(pkt, /*link_down=*/true);
-      return;
-    }
-    FaultAction act = fault_hook_->OnPacket(pkt.src, LinkDir::kUplink, pkt);
-    if (act.drop) {
-      DropFaulted(pkt, /*link_down=*/false);
-      return;
-    }
-    if (act.duplicate) {
-      switch_stats_.duplicated_fault++;
-      egress_queues_[pkt.dst]->Push(ClonePacket(pkt));
-    }
-    if (act.extra_delay_ns > 0) {
-      // Reordering: this packet re-enters the egress queue late, so
-      // traffic behind it overtakes.
-      sim_->After(act.extra_delay_ns,
-                  InlineHop([this, p = std::move(pkt)]() mutable {
-                    egress_queues_[p.dst]->Push(std::move(p));
-                  }));
-      return;
-    }
-  }
-  egress_queues_[pkt.dst]->Push(std::move(pkt));
 }
 
 Packet Fabric::ClonePacket(const Packet& pkt) {
@@ -324,83 +249,14 @@ void Fabric::DropFaulted(const Packet& pkt, bool link_down) {
   }
 }
 
-sim::Task<> Fabric::EgressPump(NodeId port) {
-  sim::Channel<Packet>* queue = egress_queues_[port].get();
-  for (;;) {
-    Packet pkt = co_await queue->Pop();
-    if (!tor_up_) {
-      // The switch lost power with this packet buffered.
-      switch_stats_.dropped_switch_down++;
-      CountDrop(DropReason::kOutage, pkt);
-      continue;
-    }
-    // The egress port is occupied only while the packet serializes onto
-    // the cable; the forwarding-pipeline latency and propagation delay
-    // are pipelined (they add delivery delay, not port occupancy).
-    TimeNs serialize =
-        TransferNs(cfg_.WireBytes(pkt.payload_size()), cfg_.bytes_per_ns());
-    uint64_t span = 0;
-    if (sim_->tracer().enabled()) {
-      // Switch egress lanes sit above the node lanes in the trace
-      // (track = 1000 + egress port; see docs/ARCHITECTURE.md).
-      span = sim_->tracer().BeginSpan(
-          pkt.trace, "net", "net.switch_egress", sim_->Now(), 1000 + port,
-          "{\"pkt\":" + std::to_string(pkt.id) + "}");
-    }
-    co_await sim::Delay(serialize);
-    sim_->tracer().EndSpan(span, sim_->Now());
-    switch_stats_.forwarded++;
-    m_forwarded_->Inc();
-    Trace(TraceStage::kForwarded, pkt);
-    NodeId dst = pkt.dst;
-    TimeNs extra = 0;
-    if (fault_hook_ != nullptr) {
-      // Downlink traversal: the receiver's switch->host cable.
-      if (!fault_hook_->IsLinkUp(dst, LinkDir::kDownlink)) {
-        DropFaulted(pkt, /*link_down=*/true);
-        continue;
-      }
-      FaultAction act = fault_hook_->OnPacket(dst, LinkDir::kDownlink, pkt);
-      if (act.drop) {
-        DropFaulted(pkt, /*link_down=*/false);
-        continue;
-      }
-      if (act.duplicate) {
-        switch_stats_.duplicated_fault++;
-        sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
-                    InlineHop([this, dst, p = ClonePacket(pkt)]() mutable {
-                      Trace(TraceStage::kDelivered, p);
-                      nics_[dst]->Deliver(std::move(p));
-                    }));
-      }
-      extra = act.extra_delay_ns;
-    }
-    sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns + extra,
-                InlineHop([this, dst, p = std::move(pkt)]() mutable {
-                  Trace(TraceStage::kDelivered, p);
-                  nics_[dst]->Deliver(std::move(p));
-                }));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Clos path
-// ---------------------------------------------------------------------------
-
-void Fabric::ClosHostIngress(Packet pkt) {
-  uint32_t leaf = topo_.LeafOf(pkt.src);
+void Fabric::HostIngress(Packet&& pkt) {
+  uint32_t leaf = pkt.src / hosts_per_leaf_;
   if (pkt.dst >= num_nodes()) {
     switch_stats_.dropped_unknown_dst++;
     CountDrop(DropReason::kUnknownDst, pkt);
     return;
   }
   if (drop_filter_ && drop_filter_(pkt)) {
-    switch_stats_.dropped_loss++;
-    CountDrop(DropReason::kLoss, pkt);
-    return;
-  }
-  if (cfg_.loss_probability > 0.0 &&
-      sim_->rng().Bernoulli(cfg_.loss_probability)) {
     switch_stats_.dropped_loss++;
     CountDrop(DropReason::kLoss, pkt);
     return;
@@ -418,29 +274,31 @@ void Fabric::ClosHostIngress(Packet pkt) {
     }
     if (act.duplicate) {
       switch_stats_.duplicated_fault++;
-      ClosRouteAtLeaf(leaf, ClonePacket(pkt));
+      RouteAtLeaf(leaf, ClonePacket(pkt));
     }
     if (act.extra_delay_ns > 0) {
+      // Reordering: this packet reaches the leaf late, so traffic behind
+      // it overtakes.
       sim_->After(act.extra_delay_ns,
                   InlineHop([this, leaf, p = std::move(pkt)]() mutable {
-                    ClosRouteAtLeaf(leaf, std::move(p));
+                    RouteAtLeaf(leaf, std::move(p));
                   }));
       return;
     }
   }
-  ClosRouteAtLeaf(leaf, std::move(pkt));
+  RouteAtLeaf(leaf, std::move(pkt));
 }
 
-void Fabric::ClosRouteAtLeaf(uint32_t leaf, Packet pkt) {
+void Fabric::RouteAtLeaf(uint32_t leaf, Packet&& pkt) {
   if (!switches_[leaf].up) {
     switch_stats_.dropped_switch_down++;
     CountDrop(DropReason::kOutage, pkt);
     return;
   }
-  uint32_t dst_leaf = topo_.LeafOf(pkt.dst);
+  uint32_t dst_leaf = pkt.dst / hosts_per_leaf_;
   if (dst_leaf == leaf) {
-    m_leaf_local_->Inc();
-    ClosEnqueue(leaf, pkt.dst % topo_.HostsPerLeaf(), std::move(pkt));
+    if (m_leaf_local_ != nullptr) m_leaf_local_->Inc();
+    Enqueue(leaf, pkt.dst % hosts_per_leaf_, std::move(pkt));
     return;
   }
   SwitchId spine = SpineForFlow(pkt.src, pkt.src_port, pkt.dst, pkt.dst_port);
@@ -450,12 +308,11 @@ void Fabric::ClosRouteAtLeaf(uint32_t leaf, Packet pkt) {
     CountDrop(DropReason::kOutage, pkt);
     return;
   }
-  uint32_t up_port =
-      topo_.HostsPerLeaf() + (spine - topo_.FirstSpine());
-  ClosEnqueue(leaf, up_port, std::move(pkt));
+  uint32_t up_port = hosts_per_leaf_ + (spine - topo_.FirstSpine());
+  Enqueue(leaf, up_port, std::move(pkt));
 }
 
-void Fabric::ClosSpineIngress(uint32_t spine, Packet pkt) {
+void Fabric::SpineIngress(uint32_t spine, Packet&& pkt) {
   SwitchId sw = topo_.FirstSpine() + spine;
   if (!switches_[sw].up) {
     switch_stats_.dropped_switch_down++;
@@ -463,19 +320,19 @@ void Fabric::ClosSpineIngress(uint32_t spine, Packet pkt) {
     return;
   }
   m_spine_hops_->Inc();
-  ClosEnqueue(sw, topo_.LeafOf(pkt.dst), std::move(pkt));
+  Enqueue(sw, pkt.dst / hosts_per_leaf_, std::move(pkt));
 }
 
-void Fabric::ClosLeafFromSpine(uint32_t leaf, Packet pkt) {
+void Fabric::LeafFromSpine(uint32_t leaf, Packet&& pkt) {
   if (!switches_[leaf].up) {
     switch_stats_.dropped_switch_down++;
     CountDrop(DropReason::kOutage, pkt);
     return;
   }
-  ClosEnqueue(leaf, pkt.dst % topo_.HostsPerLeaf(), std::move(pkt));
+  Enqueue(leaf, pkt.dst % hosts_per_leaf_, std::move(pkt));
 }
 
-void Fabric::ClosEnqueue(SwitchId sw, uint32_t port, Packet pkt) {
+void Fabric::Enqueue(SwitchId sw, uint32_t port, Packet&& pkt) {
   PortQueue& pq = *switches_[sw].ports[port];
   if (topo_.port_queue_packets > 0 && pq.depth >= topo_.port_queue_packets) {
     pq.dropped_full++;
@@ -485,21 +342,21 @@ void Fabric::ClosEnqueue(SwitchId sw, uint32_t port, Packet pkt) {
   }
   pq.depth++;
   pq.enqueued++;
-  m_port_enqueued_->Inc();
+  if (m_port_enqueued_ != nullptr) m_port_enqueued_->Inc();
   if (pq.depth > pq.max_depth) {
     pq.max_depth = pq.depth;
     if (pq.depth > max_port_depth_) {
       max_port_depth_ = pq.depth;
-      m_max_port_depth_->Set(max_port_depth_);
+      if (m_max_port_depth_ != nullptr) m_max_port_depth_->Set(max_port_depth_);
     }
   }
   pq.queue.Push(std::move(pkt));
 }
 
-sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
+sim::Task<> Fabric::PortPump(SwitchId sw, uint32_t port) {
   SwitchNode* node = &switches_[sw];
   PortQueue* pq = node->ports[port].get();
-  bool to_host = !node->is_spine && port < topo_.HostsPerLeaf();
+  bool to_host = !node->is_spine && port < hosts_per_leaf_;
   for (;;) {
     Packet pkt = co_await pq->queue.Pop();
     if (!node->up) {
@@ -509,6 +366,9 @@ sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
       CountDrop(DropReason::kOutage, pkt);
       continue;
     }
+    // The egress port is occupied only while the packet serializes onto
+    // the cable; the forwarding-pipeline latency and propagation delay
+    // are pipelined (they add delivery delay, not port occupancy).
     TimeNs serialize =
         TransferNs(cfg_.WireBytes(pkt.payload_size()), cfg_.bytes_per_ns());
     uint64_t span = 0;
@@ -529,13 +389,13 @@ sim::Task<> Fabric::ClosPortPump(SwitchId sw, uint32_t port) {
         uint32_t leaf = port;
         sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
                     InlineHop([this, leaf, p = std::move(pkt)]() mutable {
-                      ClosLeafFromSpine(leaf, std::move(p));
+                      LeafFromSpine(leaf, std::move(p));
                     }));
       } else {
-        uint32_t spine = port - topo_.HostsPerLeaf();
+        uint32_t spine = port - hosts_per_leaf_;
         sim_->After(cfg_.switch_latency_ns + cfg_.link_propagation_ns,
                     InlineHop([this, spine, p = std::move(pkt)]() mutable {
-                      ClosSpineIngress(spine, std::move(p));
+                      SpineIngress(spine, std::move(p));
                     }));
       }
       continue;

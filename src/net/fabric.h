@@ -22,6 +22,7 @@ inline constexpr SwitchId kInvalidSwitch = 0xffffffff;
 /// Fabric-wide counters, aggregated over every switch in the topology.
 struct SwitchStats {
   uint64_t forwarded = 0;
+  /// Packets discarded by the drop filter (set_drop_filter).
   uint64_t dropped_loss = 0;
   uint64_t dropped_unknown_dst = 0;
   /// Packets discarded because a fault-hook rule said drop.
@@ -45,7 +46,7 @@ enum class DropReason : uint8_t {
   kFcsBad = 1,      // corrupted frame failed the NIC FCS check
   kOutage = 2,      // link or switch administratively down
   kFault = 3,       // fault-injection rule said drop
-  kLoss = 4,        // uniform loss shim or test drop filter
+  kLoss = 4,        // drop filter (set_drop_filter)
   kUnknownDst = 5,  // destination outside the fabric
 };
 
@@ -58,7 +59,7 @@ enum class TraceStage : uint8_t {
   kNicTx = 0,     // accepted by the sender's NIC queue
   kOnWire = 1,    // serialized onto the cable towards the switch
   kForwarded = 2, // left a switch egress port (once per switch hop)
-  kDropped = 3,   // dropped (loss injection or unknown destination)
+  kDropped = 3,   // dropped (any DropReason)
   kDelivered = 4, // handed to the receiver's NIC demux
 };
 
@@ -80,7 +81,7 @@ struct TraceEvent {
 
 using TraceSink = std::function<void(const TraceEvent&)>;
 
-/// Per-port accounting of one switch egress queue (Clos mode).
+/// Per-port accounting of one switch egress queue.
 struct PortStat {
   SwitchId switch_id = kInvalidSwitch;
   bool is_spine = false;
@@ -92,28 +93,26 @@ struct PortStat {
 };
 
 /// The simulated datacenter network: `TopologyConfig::num_hosts` hosts,
-/// each with one NIC, connected through a switch graph described by the
-/// topology.
+/// each with one NIC, connected through the spine/leaf switch graph the
+/// topology describes. The paper's rack is the one-leaf case.
 ///
-/// Single-ToR packet path (the paper's rack, and the seed model):
+/// Packet path (docs/TOPOLOGY.md):
 ///   sender NIC TX pump (serialize at link rate + NIC overhead)
 ///   -> cable (propagation)
-///   -> switch ingress -> egress port queue (serialize at link rate,
-///      + switch forwarding latency, loss injection here)
+///   -> leaf ingress (drop filter, fault hook) -> egress port queue
+///      (serialize at link rate, + switch forwarding latency)
 ///   -> cable (propagation)
 ///   -> receiver NIC demux (+ NIC overhead)
 ///
-/// Clos packet path (docs/TOPOLOGY.md): the same stages repeated per
-/// switch hop. Same-leaf traffic crosses one leaf; inter-leaf traffic
-/// crosses leaf -> ECMP-chosen spine -> leaf, each hop paying an egress
-/// queue (finite capacity), serialization at link rate, forwarding
-/// latency, and cable propagation.
+/// Same-leaf traffic crosses one switch. Inter-leaf traffic crosses
+/// leaf -> ECMP-chosen spine -> leaf, each hop paying an egress queue,
+/// serialization at link rate, forwarding latency and cable propagation.
 class Fabric {
  public:
-  /// Legacy rack constructor: `num_nodes` hosts under a single ToR.
+  /// Shorthand for TopologyConfig::SingleTor(num_nodes): the paper's rack.
   Fabric(sim::Simulation* sim, const NetworkConfig& cfg, uint32_t num_nodes);
 
-  /// Topology-aware constructor.
+  /// Builds the switch graph `topo` describes, one NIC per host.
   Fabric(sim::Simulation* sim, const NetworkConfig& cfg,
          const TopologyConfig& topo);
 
@@ -130,23 +129,24 @@ class Fabric {
 
   const SwitchStats& switch_stats() const { return switch_stats_; }
 
-  /// Per-port egress queue accounting (Clos mode; empty for single-ToR).
+  /// Per-port egress queue accounting, one entry per switch port in
+  /// SwitchId then port order (a single ToR lists one port per host).
   std::vector<PortStat> PortStats() const;
 
-  /// Largest egress queue depth observed on any port so far (Clos mode).
+  /// Largest egress queue depth observed on any port so far.
   uint32_t max_port_depth() const { return max_port_depth_; }
 
   /// Administratively takes a switch down (packets arriving at it, queued
   /// on it, or routed onto it are dropped as DropReason::kOutage) or
   /// brings it back up. ECMP immediately steers inter-leaf flows away
   /// from a down spine, so traffic reroutes while at least one spine
-  /// lives. Valid in both topology modes (the single ToR is switch 0).
+  /// lives. The single ToR is switch 0.
   void SetSwitchUp(SwitchId sw, bool up);
   bool switch_up(SwitchId sw) const;
 
   /// The spine an inter-leaf flow resolves to right now (deterministic
-  /// ECMP over the live spines), or kInvalidSwitch when every spine is
-  /// down. Exposed for tests and the scale benches; Clos mode only.
+  /// ECMP over the live spines), or kInvalidSwitch when no spine is up.
+  /// Exposed for tests and the scale benches.
   SwitchId SpineForFlow(NodeId src, Port src_port, NodeId dst,
                         Port dst_port) const;
 
@@ -159,10 +159,7 @@ class Fabric {
   /// Installs the per-link fault seam (pass nullptr to detach). The hook
   /// is consulted for every packet on the sender-uplink and
   /// receiver-downlink cables and for link liveness; see net/fault_hook.h.
-  /// The hook must outlive the fabric or be detached first. The legacy
-  /// `NetworkConfig::loss_probability` knob keeps working independently
-  /// (uniform ingress loss, applied before the hook) as a compatibility
-  /// shim for existing configs.
+  /// The hook must outlive the fabric or be detached first.
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() { return fault_hook_; }
 
@@ -204,9 +201,9 @@ class Fabric {
     uint32_t track = 0;
   };
 
-  /// One switch of the Clos graph. Leaf ports: [0, HostsPerLeaf()) go
-  /// down to hosts, [HostsPerLeaf(), HostsPerLeaf()+num_spines) go up to
-  /// spines. Spine ports: one per leaf.
+  /// One switch of the graph. Leaf ports: [0, HostsPerLeaf()) go down to
+  /// hosts, [HostsPerLeaf(), HostsPerLeaf()+num_spines) go up to spines.
+  /// Spine ports: one per leaf.
   struct SwitchNode {
     bool is_spine = false;
     /// Leaf ordinal or spine ordinal (not the global SwitchId).
@@ -227,38 +224,32 @@ class Fabric {
   Packet ClonePacket(const Packet& pkt);
   void DropFaulted(const Packet& pkt, bool link_down);
 
-  // --- single-ToR path (the seed model, unchanged) ---
-  sim::Task<> EgressPump(NodeId port);
-  void SwitchIngress(Packet pkt);
-
-  // --- Clos path ---
-  void BuildClos();
+  // --- switch pipeline ---
+  void BuildSwitches();
   /// Arrival at the sender's leaf, after the host->leaf cable.
-  void ClosHostIngress(Packet pkt);
+  void HostIngress(Packet&& pkt);
   /// Routes a packet sitting at leaf `leaf` towards its destination
   /// (down-port when local, ECMP up-port otherwise).
-  void ClosRouteAtLeaf(uint32_t leaf, Packet pkt);
+  void RouteAtLeaf(uint32_t leaf, Packet&& pkt);
   /// Arrival at spine `spine`, after a leaf->spine cable.
-  void ClosSpineIngress(uint32_t spine, Packet pkt);
+  void SpineIngress(uint32_t spine, Packet&& pkt);
   /// Arrival at the receiver's leaf, after a spine->leaf cable.
-  void ClosLeafFromSpine(uint32_t leaf, Packet pkt);
-  /// Enqueues onto a finite port queue, dropping on overflow.
-  void ClosEnqueue(SwitchId sw, uint32_t port, Packet pkt);
+  void LeafFromSpine(uint32_t leaf, Packet&& pkt);
+  /// Enqueues onto a port queue, dropping on overflow.
+  void Enqueue(SwitchId sw, uint32_t port, Packet&& pkt);
   /// Drains one port queue: serialize at link rate, then hand off to the
   /// next hop (host delivery for leaf down-ports, switch ingress
   /// otherwise).
-  sim::Task<> ClosPortPump(SwitchId sw, uint32_t port);
+  sim::Task<> PortPump(SwitchId sw, uint32_t port);
 
   sim::Simulation* sim_;
   NetworkConfig cfg_;
   TopologyConfig topo_;
+  /// topo_.HostsPerLeaf(), computed once: it sits on every packet's path.
+  uint32_t hosts_per_leaf_ = 0;
   std::vector<std::unique_ptr<Nic>> nics_;
-  /// Single-ToR mode: one egress queue per switch port (per host).
-  std::vector<std::unique_ptr<sim::Channel<Packet>>> egress_queues_;
-  /// Clos mode: leaves then spines, indexed by SwitchId.
+  /// Leaves then spines, indexed by SwitchId.
   std::vector<SwitchNode> switches_;
-  /// Single-ToR mode: ToR liveness (SetSwitchUp(0, ...)).
-  bool tor_up_ = true;
   uint32_t max_port_depth_ = 0;
   SwitchStats switch_stats_;
   std::function<bool(const Packet&)> drop_filter_;
@@ -272,8 +263,10 @@ class Fabric {
   /// drop-reason schema (zeros when a reason never fired) -- sidecars
   /// from different configs then line up column-for-column.
   obs::Counter* m_drop_reason_[kNumDropReasons] = {};
-  // Clos-only aggregates, registered eagerly by BuildClos (Clos runs have
-  // no baked-in metric fingerprints to preserve).
+  // Multi-switch aggregates, registered by BuildSwitches only when the
+  // fabric has spines: a single-switch dump carries no `net.fabric.*`
+  // name, which keeps the hashed metrics fingerprints of the single-ToR
+  // benchmarks stable. Null otherwise, and their updates are skipped.
   obs::Counter* m_spine_hops_ = nullptr;
   obs::Counter* m_leaf_local_ = nullptr;
   obs::Counter* m_port_enqueued_ = nullptr;

@@ -54,9 +54,7 @@ struct OpenLoopConfig {
 /// diurnally modulated) from the simulation rng and spawns a detached
 /// request per arrival, so completions never gate arrivals. Latencies and
 /// completions are recorded during [warmup, warmup+measure) only.
-///
-/// Generalizes msvc::RunOpenLoop (single Poisson source) to the
-/// datacenter-scale suite; identically-seeded runs are bit-identical.
+/// Identically-seeded runs are bit-identical.
 msvc::WorkloadResult RunOpenLoopMulti(
     sim::Simulation* sim, const std::vector<msvc::RequestFn>& sources,
     const OpenLoopConfig& cfg, TimeNs warmup, TimeNs measure,

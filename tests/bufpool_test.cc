@@ -11,6 +11,7 @@
 #include "sim/buffer_pool.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
+#include "uniform_loss.h"
 
 namespace dmrpc::sim {
 namespace {
@@ -232,20 +233,21 @@ TEST(PacketPoolLifecycleTest, LossAndRetransmitsLeakNothing) {
   // every pooled buffer exactly once (ASan would flag a double free).
   Simulation sim(1234);
   net::NetworkConfig cfg;
-  cfg.loss_probability = 0.2;
   rpc::RpcConfig rcfg;
   rcfg.rto_ns = 50 * kMicrosecond;
   rcfg.max_retries = 30;
   Status status = Status::Internal("never ran");
   {
     net::Fabric fabric(&sim, cfg, 2);
+    fault::FaultInjector loss(&fabric);
+    loss.Schedule(UniformLoss(&fabric, 0.2, 10 * kSecond));
     rpc::Rpc server(&fabric, 1, 100, rcfg);
     server.RegisterHandler(1, Echo);
     rpc::Rpc client(&fabric, 0, 9, rcfg);
     sim.Spawn(CallN(&client, 1, 30, &status));
     sim.Run();
     EXPECT_TRUE(status.ok()) << status.ToString();
-    EXPECT_GT(fabric.switch_stats().dropped_loss, 0u);
+    EXPECT_GT(fabric.switch_stats().dropped_fault, 0u);
   }
   EXPECT_EQ(sim.buffer_pool().stats().outstanding, 0u);
   // Steady state recycles: far fewer slab allocations than packets.

@@ -13,6 +13,7 @@
 #include "rpc/wire.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
+#include "uniform_loss.h"
 
 namespace dmrpc {
 namespace {
@@ -62,12 +63,14 @@ RunOutcome RunMixedWorkload(uint64_t seed) {
   RunOutcome out;
   sim::Simulation sim(seed);
   net::NetworkConfig cfg;
-  cfg.loss_probability = 0.05;  // retransmission paths engaged
   rpc::RpcConfig rcfg;
   rcfg.rto_ns = 100 * kMicrosecond;
   rcfg.max_retries = 20;
   {
     net::Fabric fabric(&sim, cfg, 4);
+    fault::FaultInjector loss(&fabric);
+    // 5% loss engages the retransmission paths.
+    loss.Schedule(UniformLoss(&fabric, 0.05, 10 * kSecond));
     rpc::Rpc server(&fabric, 0, 100, rcfg);
     server.RegisterHandler(1, EchoHandler);
     std::vector<std::unique_ptr<rpc::Rpc>> clients;

@@ -17,6 +17,7 @@
 #include "msvc/workload.h"
 #include "net/fabric.h"
 #include "sim/simulation.h"
+#include "uniform_loss.h"
 
 namespace dmrpc {
 namespace {
@@ -177,9 +178,10 @@ TEST(FailureTest, PacketLossDuringDmOpsRecovers) {
   ClusterConfig cfg;
   cfg.backend = Backend::kDmNet;
   cfg.num_nodes = 4;
-  cfg.network.loss_probability = 0.05;
   cfg.rpc.rto_ns = 300 * kMicrosecond;
   Cluster cluster(&sim, cfg);
+  fault::FaultInjector loss(cluster.fabric());
+  loss.Schedule(UniformLoss(cluster.fabric(), 0.05, 120 * kSecond));
   ServiceEndpoint* a = cluster.AddService("a", 0, 900);
   ServiceEndpoint* b = cluster.AddService("b", 1, 900);
   ASSERT_TRUE(msvc::RunToCompletion(&sim, cluster.InitAll()).ok());

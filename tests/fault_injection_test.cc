@@ -1,7 +1,7 @@
 // Unit tests for the deterministic fault-injection subsystem: every
 // primitive (drop, corrupt, duplicate, reorder, link outage, NIC outage,
-// node crash), exact virtual-time window activation, composition with the
-// legacy loss_probability shim, and bit-identical replay under a seed.
+// node crash), exact virtual-time window activation, and bit-identical
+// replay under a seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -247,24 +247,6 @@ TEST_F(FaultInjectionTest, RulesDeactivateAndLeaveNoResidue) {
   SendBurst(3, plan.EndTime() + 1000, 1000);
   sim_.Run();
   EXPECT_EQ(fabric_.nic(1)->stats().rx_packets, 3u);
-}
-
-TEST_F(FaultInjectionTest, LegacyLossShimComposesWithFaultHook) {
-  // The pre-existing loss_probability knob keeps working underneath the
-  // hook: with loss 1.0 everything dies as dropped_loss even though a
-  // fault window is also active.
-  sim::Simulation sim(3);
-  net::NetworkConfig cfg;
-  cfg.loss_probability = 1.0;
-  net::Fabric fabric(&sim, cfg, 2);
-  FaultInjector injector(&fabric);
-  FaultPlan plan;
-  plan.DropWindow(0, LinkDir::kUplink, 0, 1 * kMillisecond);
-  injector.Schedule(plan);
-  sim.At(1000, [&] { fabric.nic(0)->Send(MakePacket(0, 1)); });
-  sim.Run();
-  EXPECT_EQ(fabric.switch_stats().dropped_loss, 1u);
-  EXPECT_EQ(fabric.switch_stats().dropped_fault, 0u);
 }
 
 TEST(FaultPlanTest, ShiftByMovesEveryWindow) {

@@ -8,6 +8,7 @@
 #include "apps/nested_chain.h"
 #include "msvc/cluster.h"
 #include "msvc/workload.h"
+#include "uniform_loss.h"
 
 namespace dmrpc {
 namespace {
@@ -133,8 +134,9 @@ TEST(IntegrationRobustness, ChainSurvivesPacketLoss) {
   cfg.backend = Backend::kDmNet;
   cfg.num_nodes = 10;
   cfg.dm_frames = 1u << 14;
-  cfg.network.loss_probability = 0.01;
   Cluster cluster(&sim, cfg);
+  fault::FaultInjector loss(cluster.fabric());
+  loss.Schedule(UniformLoss(cluster.fabric(), 0.01, 10 * kSecond));
   NestedChainApp app(&cluster, 5, {1, 2, 3, 4, 5});
   ServiceEndpoint* client = cluster.AddService("client", 0, 950);
   ASSERT_TRUE(msvc::RunToCompletion(&sim, cluster.InitAll()).ok());

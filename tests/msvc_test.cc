@@ -6,6 +6,7 @@
 
 #include "msvc/cluster.h"
 #include "msvc/workload.h"
+#include "workload/openloop.h"
 
 namespace dmrpc::msvc {
 namespace {
@@ -187,8 +188,11 @@ TEST(WorkloadTest, OpenLoopOffersRequestedRate) {
     co_await sim::Delay(10 * kMicrosecond);
     co_return uint64_t{1};
   };
-  WorkloadResult res =
-      RunOpenLoop(&sim, fn, 50000.0, 100 * kMillisecond, 1 * kSecond);
+  workload::OpenLoopConfig wcfg;
+  wcfg.rate_rps = 50000.0;
+  wcfg.max_outstanding = 20000;
+  WorkloadResult res = workload::RunOpenLoopMulti(
+      &sim, {fn}, wcfg, 100 * kMillisecond, 1 * kSecond);
   EXPECT_NEAR(res.throughput_rps(), 50000.0, 2500.0);
 }
 
@@ -202,9 +206,11 @@ TEST(WorkloadTest, OpenLoopOverloadShowsQueueing) {
     sem->Release();
     co_return uint64_t{1};
   };
-  WorkloadResult res =
-      RunOpenLoop(&sim, fn, 20000.0, 50 * kMillisecond, 500 * kMillisecond,
-                  /*max_outstanding=*/100000);
+  workload::OpenLoopConfig wcfg;
+  wcfg.rate_rps = 20000.0;
+  wcfg.max_outstanding = 100000;
+  WorkloadResult res = workload::RunOpenLoopMulti(
+      &sim, {fn}, wcfg, 50 * kMillisecond, 500 * kMillisecond);
   // Saturated at ~10k rps with exploding latency.
   EXPECT_LT(res.throughput_rps(), 11000.0);
   EXPECT_GT(res.latency.p99(), 10 * kMillisecond);

@@ -6,6 +6,7 @@
 #include "net/nic.h"
 #include "net/packet.h"
 #include "sim/simulation.h"
+#include "uniform_loss.h"
 
 namespace dmrpc::net {
 namespace {
@@ -129,9 +130,9 @@ TEST_F(FabricTest, DropFilterDropsSelectedPackets) {
 
 TEST(FabricLossTest, RandomLossMatchesProbability) {
   sim::Simulation sim(7);
-  NetworkConfig cfg;
-  cfg.loss_probability = 0.1;
-  Fabric fabric(&sim, cfg, 2);
+  Fabric fabric(&sim, NetworkConfig{}, 2);
+  fault::FaultInjector loss(&fabric);
+  loss.Schedule(UniformLoss(&fabric, 0.1, 1 * kSecond));
   sim::Channel<Packet> inbox;
   fabric.nic(1)->BindPort(80, &inbox);
   sim.At(0, [&] {
@@ -141,18 +142,24 @@ TEST(FabricLossTest, RandomLossMatchesProbability) {
   });
   sim.Run();
   double loss_rate =
-      static_cast<double>(fabric.switch_stats().dropped_loss) / 5000.0;
+      static_cast<double>(fabric.switch_stats().dropped_fault) / 5000.0;
   EXPECT_NEAR(loss_rate, 0.1, 0.02);
 }
 
 TEST(FabricDeterminismTest, IdenticalRunsProduceIdenticalTimelines) {
   auto run = []() {
     sim::Simulation sim(1234);
-    NetworkConfig cfg;
-    cfg.loss_probability = 0.05;
-    Fabric fabric(&sim, cfg, 3);
+    Fabric fabric(&sim, NetworkConfig{}, 3);
+    fault::FaultInjector loss(&fabric);
+    loss.Schedule(UniformLoss(&fabric, 0.05, 1 * kSecond));
     sim::Channel<Packet> inbox;
     fabric.nic(2)->BindPort(9, &inbox);
+    // The loss window's end keeps the clock running past the traffic, so
+    // compare the last delivery instant rather than the final clock.
+    TimeNs last_delivery = 0;
+    fabric.set_trace_sink([&](const TraceEvent& ev) {
+      if (ev.stage == TraceStage::kDelivered) last_delivery = ev.time;
+    });
     sim.At(0, [&] {
       for (int i = 0; i < 200; ++i) {
         fabric.nic(0)->Send(MakePacket(0, 2, 1, 9, 128));
@@ -160,8 +167,8 @@ TEST(FabricDeterminismTest, IdenticalRunsProduceIdenticalTimelines) {
       }
     });
     sim.Run();
-    return std::make_tuple(sim.Now(), sim.executed_events(),
-                           fabric.switch_stats().dropped_loss);
+    return std::make_tuple(last_delivery, sim.executed_events(),
+                           fabric.switch_stats().dropped_fault);
   };
   EXPECT_EQ(run(), run());
 }

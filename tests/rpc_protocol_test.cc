@@ -16,6 +16,7 @@
 #include "rpc/rpc.h"
 #include "rpc/wire.h"
 #include "sim/simulation.h"
+#include "uniform_loss.h"
 
 namespace dmrpc::rpc {
 namespace {
@@ -281,9 +282,9 @@ class LossPatternTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LossPatternTest, ExactlyOnceUnderRandomLoss) {
   sim::Simulation sim(GetParam());
-  net::NetworkConfig ncfg;
-  ncfg.loss_probability = 0.08;
-  net::Fabric fabric(&sim, ncfg, 2);
+  net::Fabric fabric(&sim, net::NetworkConfig{}, 2);
+  fault::FaultInjector loss(&fabric);
+  loss.Schedule(UniformLoss(&fabric, 0.08, 60 * kSecond));
   RpcConfig rcfg;
   rcfg.rto_ns = 300 * kMicrosecond;  // quick test turnaround
   Rpc server(&fabric, 1, 100, rcfg);

@@ -7,6 +7,7 @@
 #include "rpc/rpc.h"
 #include "rpc/wire.h"
 #include "sim/simulation.h"
+#include "uniform_loss.h"
 
 namespace dmrpc::rpc {
 namespace {
@@ -283,9 +284,9 @@ class RpcLossTest : public ::testing::TestWithParam<LossCase> {};
 TEST_P(RpcLossTest, AllRequestsEventuallyComplete) {
   LossCase param = GetParam();
   sim::Simulation sim(2024);
-  net::NetworkConfig ncfg;
-  ncfg.loss_probability = param.loss;
-  net::Fabric fabric(&sim, ncfg, 2);
+  net::Fabric fabric(&sim, net::NetworkConfig{}, 2);
+  fault::FaultInjector loss(&fabric);
+  loss.Schedule(UniformLoss(&fabric, param.loss, 30 * kSecond));
   Rpc server(&fabric, 1, 100);
   Rpc client(&fabric, 0, 200);
   server.RegisterHandler(

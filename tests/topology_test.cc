@@ -1,8 +1,8 @@
 // Unit tests for the Clos/fat-tree fabric: topology math, deterministic
 // symmetric ECMP, exact multi-hop latency decomposition, finite egress
-// queue overflow accounting, spine/leaf outages with rerouting, and a
-// chaos-style RPC iteration across a scheduled switch outage that must
-// replay bit-identically.
+// queue overflow accounting, spine/leaf outages with rerouting, the
+// single-ToR rack as a one-leaf Clos, and a chaos-style RPC iteration
+// across a scheduled switch outage that must replay bit-identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,6 +63,29 @@ TEST(TopologyConfigTest, LeafMath) {
   EXPECT_EQ(tor.NumSwitches(), 1u);
   EXPECT_FALSE(tor.ToString().empty());
   EXPECT_FALSE(topo.ToString().empty());
+}
+
+TEST(TopologyConfigTest, SingleTorIsOneLeafWithoutSpines) {
+  TopologyConfig tor = TopologyConfig::SingleTor(8);
+  EXPECT_EQ(tor.num_hosts, 8u);
+  EXPECT_EQ(tor.num_leaves, 1u);
+  EXPECT_EQ(tor.num_spines, 0u);
+  EXPECT_EQ(tor.port_queue_packets, 0u);  // unbounded
+  EXPECT_EQ(tor.HostsPerLeaf(), 8u);
+  EXPECT_EQ(tor.LeafOf(7), 0u);
+  EXPECT_EQ(tor.NumSwitches(), 1u);
+  EXPECT_EQ(tor.ToString(), "8h 0s x 1l q0");
+  EXPECT_EQ(TopologyConfig::Clos(96, 2, 8).ToString(), "96h 2s x 8l q256");
+  // The default topology is the same rack.
+  TopologyConfig def;
+  EXPECT_EQ(def.ToString(), tor.ToString());
+}
+
+TEST(TopologyConfigDeathTest, LeavesWithoutSpinesAreRejected) {
+  TopologyConfig topo = TopologyConfig::SingleTor(8);
+  topo.num_leaves = 2;
+  sim::Simulation sim(1);
+  EXPECT_DEATH(Fabric(&sim, NetworkConfig{}, topo), "no route between");
 }
 
 TEST(EcmpHashTest, SymmetricUnderEndpointSwap) {
@@ -248,6 +271,128 @@ TEST(ClosOutageTest, LeafOutageDropsItsRack) {
   sim.Run();
   EXPECT_EQ(fabric.nic(1)->stats().rx_packets, 0u);
   EXPECT_EQ(fabric.switch_stats().dropped_switch_down, 1u);
+}
+
+// The paper's rack: one ToR, built as a one-leaf Clos with no spines.
+
+uint64_t PortEnqueuedSum(const Fabric& fabric) {
+  uint64_t sum = 0;
+  for (const PortStat& ps : fabric.PortStats()) sum += ps.enqueued;
+  return sum;
+}
+
+/// Hosts 0, 2 and 3 each send `per_sender` jumbo packets to host 1 at
+/// t = 0: three NICs outpace the ToR's one port towards host 1.
+void IncastToHostOne(sim::Simulation* sim, Fabric* fabric, int per_sender) {
+  for (NodeId src : {0u, 2u, 3u}) {
+    sim->At(0, [fabric, src, per_sender] {
+      for (int i = 0; i < per_sender; ++i) {
+        fabric->nic(src)->Send(MakePacket(src, 1, 10 + src, 80, 4000));
+      }
+    });
+  }
+}
+
+TEST(SingleTorFabricTest, PortStatsListOnePortPerHost) {
+  sim::Simulation sim(5);
+  Fabric fabric(&sim, NetworkConfig{}, 4);
+  sim::Channel<Packet> to_one, to_zero;
+  fabric.nic(1)->BindPort(80, &to_one);
+  fabric.nic(0)->BindPort(80, &to_zero);
+  IncastToHostOne(&sim, &fabric, 8);
+  sim.At(0, [&] {
+    fabric.nic(1)->Send(MakePacket(1, 0, 10, 80, 100));
+    fabric.nic(1)->Send(MakePacket(1, 0, 10, 80, 100));
+  });
+  sim.Run();
+  std::vector<PortStat> ports = fabric.PortStats();
+  ASSERT_EQ(ports.size(), 4u);
+  uint32_t deepest = 0;
+  for (uint32_t i = 0; i < ports.size(); ++i) {
+    EXPECT_EQ(ports[i].switch_id, 0u);
+    EXPECT_FALSE(ports[i].is_spine);
+    EXPECT_EQ(ports[i].port, i);
+    EXPECT_EQ(ports[i].dropped_full, 0u);  // unbounded
+    deepest = std::max(deepest, ports[i].max_depth);
+  }
+  EXPECT_EQ(ports[0].enqueued, 2u);
+  EXPECT_EQ(ports[1].enqueued, 24u);
+  EXPECT_EQ(PortEnqueuedSum(fabric), fabric.switch_stats().forwarded);
+  // The incast queues up behind host 1's port, and the fabric-wide
+  // watermark is that port's.
+  EXPECT_GT(ports[1].max_depth, 1u);
+  EXPECT_EQ(ports[1].max_depth, deepest);
+  EXPECT_EQ(fabric.max_port_depth(), deepest);
+}
+
+TEST(SingleTorFabricTest, MetricsDumpHasNoMultiSwitchNames) {
+  sim::Simulation tor_sim(1);
+  Fabric tor(&tor_sim, NetworkConfig{}, 4);
+  sim::Channel<Packet> inbox;
+  tor.nic(1)->BindPort(80, &inbox);
+  tor_sim.At(0, [&] { tor.nic(0)->Send(MakePacket(0, 1, 10, 80, 100)); });
+  tor_sim.Run();
+  ASSERT_EQ(tor.nic(1)->stats().rx_packets, 1u);
+  EXPECT_EQ(tor_sim.DumpMetricsJson().find("net.fabric."), std::string::npos);
+
+  sim::Simulation clos_sim(1);
+  Fabric clos(&clos_sim, NetworkConfig{}, TopologyConfig::Clos(8, 2, 2));
+  std::string dump = clos_sim.DumpMetricsJson();
+  for (const char* name :
+       {"net.fabric.spine_hops", "net.fabric.leaf_local",
+        "net.fabric.port_enqueued", "net.fabric.max_port_depth"}) {
+    EXPECT_NE(dump.find(name), std::string::npos) << name;
+  }
+}
+
+TEST(SingleTorFabricTest, SwitchDownDropsArrivalsAndBufferedPackets) {
+  sim::Simulation sim(5);
+  Fabric fabric(&sim, NetworkConfig{}, 4);
+  sim::Channel<Packet> inbox;
+  fabric.nic(1)->BindPort(80, &inbox);
+  const int kPerSender = 8;
+  const int kAfterRecovery = 5;
+  const TimeNs down_at = 3 * kMicrosecond;
+  const TimeNs up_at = 20 * kMicrosecond;
+  IncastToHostOne(&sim, &fabric, kPerSender);
+  uint64_t buffered_at_down = 0;
+  sim.At(down_at, [&] {
+    buffered_at_down =
+        PortEnqueuedSum(fabric) - fabric.switch_stats().forwarded;
+    fabric.SetSwitchUp(0, false);
+    EXPECT_FALSE(fabric.switch_up(0));
+  });
+  sim.At(up_at, [&] {
+    fabric.SetSwitchUp(0, true);
+    for (int i = 0; i < kAfterRecovery; ++i) {
+      fabric.nic(0)->Send(MakePacket(0, 1, 10, 80, 4000));
+    }
+  });
+  int delivered_after_up = 0;
+  fabric.set_trace_sink([&](const TraceEvent& ev) {
+    if (ev.stage == TraceStage::kDelivered && ev.time > up_at) {
+      delivered_after_up++;
+    }
+  });
+  sim.Run();
+  const SwitchStats& st = fabric.switch_stats();
+  uint64_t sent = 3 * kPerSender + kAfterRecovery;
+  uint64_t enqueued = PortEnqueuedSum(fabric);
+  ASSERT_LE(enqueued, sent);
+  ASSERT_GE(enqueued, st.forwarded);
+  // Arrivals while the ToR was down never reached a port queue, and the
+  // packets it held when it went down never left (bar the one already
+  // serializing).
+  uint64_t dropped_on_arrival = sent - enqueued;
+  uint64_t dropped_buffered = enqueued - st.forwarded;
+  EXPECT_GT(buffered_at_down, 2u);
+  EXPECT_GT(dropped_on_arrival, 0u);
+  EXPECT_GT(dropped_buffered, 0u);
+  EXPECT_EQ(st.dropped_switch_down, dropped_on_arrival + dropped_buffered);
+  EXPECT_EQ(sim.metrics().CounterValue("net.drop_reason.outage"),
+            st.dropped_switch_down);
+  EXPECT_EQ(fabric.nic(1)->stats().rx_packets, st.forwarded);
+  EXPECT_EQ(delivered_after_up, kAfterRecovery);  // traffic resumes
 }
 
 // Chaos-style iteration: RPC traffic runs across a scheduled spine
