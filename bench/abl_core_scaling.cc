@@ -7,8 +7,6 @@
 // the paper's future-work MMU-direct translation mode (§V-A2) to show
 // what removing the software translation would buy.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
@@ -28,16 +26,7 @@ namespace {
 
 constexpr uint32_t kBlockBytes = 16384;
 
-std::map<std::pair<int, bool>, double>& Cache() {
-  static auto* cache = new std::map<std::pair<int, bool>, double>();
-  return *cache;
-}
-
 double RunOne(int cores, bool mmu_direct) {
-  auto key = std::make_pair(cores, mmu_direct);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
-
   BenchEnv env = BenchEnv::FromEnv();
   sim::Simulation sim(24);
   BenchObs::Arm(&sim);
@@ -84,21 +73,14 @@ double RunOne(int cores, bool mmu_direct) {
   BenchObs::Record(std::string(mmu_direct ? "mmu-direct" : "sw") + "_cores" +
                        std::to_string(cores),
                    &sim);
-  return Cache().emplace(key, res.throughput_rps()).first->second;
+  return res.throughput_rps();
 }
 
 constexpr int kCores[] = {1, 2, 4, 8};
 
 /// The paper's actual linear-scaling claim (§VI-E): the image app on
 /// DmRPC-CXL is bound by application CPU cores, not UPI or network.
-std::map<int, double>& AppCache() {
-  static auto* cache = new std::map<int, double>();
-  return *cache;
-}
-
 double RunImageApp(int codec_threads) {
-  auto it = AppCache().find(codec_threads);
-  if (it != AppCache().end()) return it->second;
   BenchEnv env = BenchEnv::FromEnv();
   sim::Simulation sim(25);
   BenchObs::Arm(&sim);
@@ -117,52 +99,37 @@ double RunImageApp(int codec_threads) {
       &sim, app.MakeRequestFn(client, 65536), /*workers=*/8 * codec_threads,
       env.Warmup(30 * kMillisecond), env.Measure(200 * kMillisecond));
   BenchObs::Record("image-app_codec" + std::to_string(codec_threads), &sim);
-  return AppCache().emplace(codec_threads, res.throughput_gbps())
-      .first->second;
+  return res.throughput_gbps();
 }
 
-void BM_CoreScaling(benchmark::State& state) {
-  int cores = static_cast<int>(state.range(0));
-  bool mmu = state.range(1) != 0;
-  for (auto _ : state) {
-    state.counters["krps"] = RunOne(cores, mmu) / 1e3;
-    state.counters["speedup"] = RunOne(cores, mmu) / RunOne(1, mmu);
-  }
-  state.SetLabel(mmu ? "mmu-direct" : "sw-translation");
-}
-
-void RegisterAll() {
+void Main() {
+  std::map<std::pair<int, bool>, double> runs;
   for (int cores : kCores) {
-    for (int mmu : {0, 1}) {
-      benchmark::RegisterBenchmark("abl/core_scaling", BM_CoreScaling)
-          ->Args({cores, mmu})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
+    for (bool mmu : {false, true}) runs[{cores, mmu}] = RunOne(cores, mmu);
   }
-}
 
-void PrintPaperTables() {
   Table table(
       "Ablation: DM-server core scaling (16KB PutRef+FetchRef pairs)",
       {"cores", "krps", "speedup", "krps(mmu-direct)", "mmu-gain"});
   for (int cores : kCores) {
-    double sw = RunOne(cores, false);
-    double mmu = RunOne(cores, true);
+    double sw = runs.at({cores, false});
+    double mmu = runs.at({cores, true});
     table.AddRow({Table::Int(cores), Table::Num(sw / 1e3),
-                  Table::Num(sw / RunOne(1, false), 2) + "x",
+                  Table::Num(sw / runs.at({1, false}), 2) + "x",
                   Table::Num(mmu / 1e3),
                   Table::Num(sw > 0 ? mmu / sw : 0, 3) + "x"});
   }
   table.Print();
 
+  std::map<int, double> gbps;
+  for (int cores : kCores) gbps[cores] = RunImageApp(cores);
   Table app(
       "Paper §VI-E claim: image app (DmRPC-CXL, 64KB) scales with codec "
       "cores",
       {"codec-cores", "Gbps", "speedup"});
   for (int cores : kCores) {
-    app.AddRow({Table::Int(cores), Table::Num(RunImageApp(cores), 2),
-                Table::Num(RunImageApp(cores) / RunImageApp(1), 2) + "x"});
+    app.AddRow({Table::Int(cores), Table::Num(gbps.at(cores), 2),
+                Table::Num(gbps.at(cores) / gbps.at(1), 2) + "x"});
   }
   app.Print();
 }
@@ -170,11 +137,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

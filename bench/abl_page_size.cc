@@ -7,9 +7,6 @@
 // large pages invert the trade. The bench reports DM memory traffic per
 // request and the achieved rate across page sizes.
 
-#include <benchmark/benchmark.h>
-
-#include <map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -30,15 +27,7 @@ struct Outcome {
   double cow_per_req = 0.0;
 };
 
-std::map<uint32_t, Outcome>& Cache() {
-  static auto* cache = new std::map<uint32_t, Outcome>();
-  return *cache;
-}
-
-const Outcome& RunOne(uint32_t page_size) {
-  auto it = Cache().find(page_size);
-  if (it != Cache().end()) return it->second;
-
+Outcome RunOne(uint32_t page_size) {
   BenchEnv env = BenchEnv::FromEnv();
   sim::Simulation sim(22);
   BenchObs::Arm(&sim);
@@ -91,7 +80,6 @@ const Outcome& RunOne(uint32_t page_size) {
 
   uint64_t traffic = 0;
   uint64_t cows = 0;
-  uint64_t reqs_base = 0;
   msvc::WindowHooks hooks;
   hooks.on_measure_start = [&] {
     cluster.dm_server(0)->ResetStats();
@@ -103,7 +91,6 @@ const Outcome& RunOne(uint32_t page_size) {
     cows = cluster.dm_server(0)->stats().cow_copies +
            cluster.dm_server(1)->stats().cow_copies;
   };
-  (void)reqs_base;
   msvc::WorkloadResult res = msvc::RunClosedLoop(
       &sim, fn, /*workers=*/4, env.Warmup(10 * kMillisecond),
       env.Measure(200 * kMillisecond), hooks);
@@ -114,34 +101,15 @@ const Outcome& RunOne(uint32_t page_size) {
     out.cow_per_req = static_cast<double>(cows) / res.completed;
   }
   BenchObs::Record("page" + std::to_string(page_size), &sim);
-  return Cache().emplace(page_size, out).first->second;
+  return out;
 }
 
-void BM_PageSize(benchmark::State& state) {
-  uint32_t page = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    const Outcome& out = RunOne(page);
-    state.counters["krps"] = out.krps;
-    state.counters["traffic_B"] = out.traffic_per_req;
-    state.counters["cow_pages"] = out.cow_per_req;
-  }
-}
-
-void RegisterAll() {
-  for (uint32_t page : kPageSizes) {
-    benchmark::RegisterBenchmark("abl/page_size", BM_PageSize)
-        ->Arg(page)
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintPaperTables() {
+void Main() {
   Table table(
       "Ablation: COW page size (64KB region, 4x64B sparse writes)",
       {"page", "krps", "DM-traffic/req", "COW-copies/req"});
   for (uint32_t page : kPageSizes) {
-    const Outcome& out = RunOne(page);
+    Outcome out = RunOne(page);
     table.AddRow({FormatBytes(page), Table::Num(out.krps),
                   FormatBytes(static_cast<uint64_t>(out.traffic_per_req)),
                   Table::Num(out.cow_per_req, 2)});
@@ -152,11 +120,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

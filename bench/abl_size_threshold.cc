@@ -7,8 +7,6 @@
 // always-by-ref pays DM round trips that dwarf small payloads;
 // always-inline degenerates to eRPC for large payloads.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "apps/nested_chain.h"
@@ -31,17 +29,7 @@ const char* PolicyName(uint64_t threshold) {
   return "always-inline";
 }
 
-std::map<std::pair<uint64_t, uint32_t>, msvc::WorkloadResult>& Cache() {
-  static auto* cache =
-      new std::map<std::pair<uint64_t, uint32_t>, msvc::WorkloadResult>();
-  return *cache;
-}
-
-const msvc::WorkloadResult& RunOne(uint64_t threshold, uint32_t arg_bytes) {
-  auto key = std::make_pair(threshold, arg_bytes);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
-
+msvc::WorkloadResult RunOne(uint64_t threshold, uint32_t arg_bytes) {
   BenchEnv env = BenchEnv::FromEnv();
   sim::Simulation sim(21);
   BenchObs::Arm(&sim);
@@ -61,39 +49,25 @@ const msvc::WorkloadResult& RunOne(uint64_t threshold, uint32_t arg_bytes) {
   BenchObs::Record(std::string(PolicyName(threshold)) + "_" +
                        std::to_string(arg_bytes) + "B",
                    &sim);
-  return Cache().emplace(key, std::move(res)).first->second;
+  return res;
 }
 
-void BM_Threshold(benchmark::State& state) {
-  uint64_t threshold = kThresholds[state.range(0)];
-  uint32_t bytes = static_cast<uint32_t>(state.range(1));
-  for (auto _ : state) {
-    const msvc::WorkloadResult& res = RunOne(threshold, bytes);
-    state.counters["krps"] = res.throughput_rps() / 1e3;
-    state.counters["avg_us"] = res.latency.mean() / 1e3;
-  }
-  state.SetLabel(PolicyName(threshold));
-}
-
-void RegisterAll() {
-  for (int t = 0; t < 4; ++t) {
+void Main() {
+  std::map<std::pair<uint64_t, uint32_t>, msvc::WorkloadResult> runs;
+  for (uint64_t threshold : kThresholds) {
     for (uint32_t bytes : kSizes) {
-      benchmark::RegisterBenchmark("abl/size_threshold", BM_Threshold)
-          ->Args({t, bytes})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runs[{threshold, bytes}] = RunOne(threshold, bytes);
     }
   }
-}
 
-void PrintPaperTables() {
   Table table(
       "Ablation: size-aware threshold, nested chain (5 hops), krps",
       {"arg-size", "always-ref", "1KB(default)", "8KB", "always-inline"});
   for (uint32_t bytes : kSizes) {
     std::vector<std::string> row{FormatBytes(bytes)};
     for (uint64_t threshold : kThresholds) {
-      row.push_back(Table::Num(RunOne(threshold, bytes).throughput_rps() / 1e3));
+      row.push_back(
+          Table::Num(runs.at({threshold, bytes}).throughput_rps() / 1e3));
     }
     table.AddRow(std::move(row));
   }
@@ -103,11 +77,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

@@ -7,9 +7,6 @@
 // client-observed access time (the paper's denominator, which includes
 // the network round trip).
 
-#include <benchmark/benchmark.h>
-
-#include <map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -30,15 +27,7 @@ struct Outcome {
   double access_us = 0.0;
 };
 
-std::map<uint32_t, Outcome>& Cache() {
-  static auto* cache = new std::map<uint32_t, Outcome>();
-  return *cache;
-}
-
-const Outcome& RunOne(uint32_t size) {
-  auto it = Cache().find(size);
-  if (it != Cache().end()) return it->second;
-
+Outcome RunOne(uint32_t size) {
   sim::Simulation sim(23);
   BenchObs::Arm(&sim);
   net::Fabric fabric(&sim, net::NetworkConfig{}, 2);
@@ -80,37 +69,18 @@ const Outcome& RunOne(uint32_t size) {
       60 * kSecond);
   DMRPC_CHECK(st.ok()) << st.ToString();
   BenchObs::Record("read_" + std::to_string(size) + "B", &sim);
-  return Cache().emplace(size, out).first->second;
+  return out;
 }
 
 constexpr uint32_t kSizes[] = {4096, 16384, 65536, 262144};
 
-void BM_Translation(benchmark::State& state) {
-  uint32_t size = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    const Outcome& out = RunOne(size);
-    state.counters["server_pct"] = out.server_fraction * 100.0;
-    state.counters["e2e_pct"] = out.e2e_fraction * 100.0;
-    state.counters["access_us"] = out.access_us;
-  }
-}
-
-void RegisterAll() {
-  for (uint32_t size : kSizes) {
-    benchmark::RegisterBenchmark("abl/translation_cost", BM_Translation)
-        ->Arg(size)
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintPaperTables() {
+void Main() {
   Table table(
       "Ablation: software translation cost in rread (paper claims 0.17% "
       "of total DM access time)",
       {"size", "access-us", "server-side %", "end-to-end %"});
   for (uint32_t size : kSizes) {
-    const Outcome& out = RunOne(size);
+    Outcome out = RunOne(size);
     table.AddRow({FormatBytes(size), Table::Num(out.access_us, 2),
                   Table::Num(out.server_fraction * 100.0, 3),
                   Table::Num(out.e2e_fraction * 100.0, 3)});
@@ -121,11 +91,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

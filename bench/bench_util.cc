@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -234,17 +233,6 @@ void BenchObs::Record(const std::string& label, sim::Simulation* sim) {
     // run's sidecar (the boundary grid itself stays armed).
     sim->timeline().Clear();
   }
-}
-
-std::string Summarize(const msvc::WorkloadResult& res) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%.0f rps, %.2f Gbps, lat mean=%s p99=%s p999=%s",
-                res.throughput_rps(), res.throughput_gbps(),
-                FormatDuration(res.latency.mean()).c_str(),
-                FormatDuration(res.latency.p99()).c_str(),
-                FormatDuration(res.latency.p999()).c_str());
-  return buf;
 }
 
 }  // namespace dmrpc::bench

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "msvc/workload.h"
 #include "sim/simulation.h"
 
 namespace dmrpc::bench {
@@ -46,9 +45,6 @@ struct BenchEnv {
     return static_cast<TimeNs>(base * scale);
   }
 };
-
-/// Standard one-line summary of a workload result.
-std::string Summarize(const msvc::WorkloadResult& res);
 
 /// Machine-readable observability sidecar for bench binaries.
 ///

@@ -6,8 +6,6 @@
 // argument crosses the wire at every hop; DmRPC-net and DmRPC-CXL stay
 // nearly flat (only the Ref is forwarded) with DmRPC-CXL on top.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "apps/nested_chain.h"
@@ -21,17 +19,7 @@ namespace {
 
 constexpr uint32_t kArgBytes = 4096;
 
-std::map<std::pair<int, int>, msvc::WorkloadResult>& Cache() {
-  static auto* cache =
-      new std::map<std::pair<int, int>, msvc::WorkloadResult>();
-  return *cache;
-}
-
-const msvc::WorkloadResult& RunChain(msvc::Backend backend, int chain_len) {
-  auto key = std::make_pair(static_cast<int>(backend), chain_len);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
-
+msvc::WorkloadResult RunChain(msvc::Backend backend, int chain_len) {
   BenchEnv env = BenchEnv::FromEnv();
   sim::Simulation sim(7);
   BenchObs::Arm(&sim);
@@ -52,44 +40,26 @@ const msvc::WorkloadResult& RunChain(msvc::Backend backend, int chain_len) {
   BenchObs::Record(std::string(msvc::BackendName(backend)) + "_chain" +
                        std::to_string(chain_len),
                    &sim);
-  return Cache().emplace(key, std::move(res)).first->second;
+  return res;
 }
 
-void BM_NestedChain(benchmark::State& state) {
-  auto backend = static_cast<msvc::Backend>(state.range(0));
-  int chain_len = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    const msvc::WorkloadResult& res = RunChain(backend, chain_len);
-    state.counters["krps"] = res.throughput_rps() / 1000.0;
-    state.counters["avg_lat_us"] =
-        static_cast<double>(res.latency.mean()) / kMicrosecond;
-    state.counters["p99_us"] =
-        static_cast<double>(res.latency.p99()) / kMicrosecond;
-  }
-  state.SetLabel(msvc::BackendName(backend));
-}
-
-void RegisterAll() {
+void Main() {
+  std::map<std::pair<msvc::Backend, int>, msvc::WorkloadResult> runs;
   for (msvc::Backend backend :
        {msvc::Backend::kErpc, msvc::Backend::kDmNet, msvc::Backend::kDmCxl}) {
     for (int chain = 1; chain <= 7; ++chain) {
-      benchmark::RegisterBenchmark("fig05/nested_rpc", BM_NestedChain)
-          ->Args({static_cast<int64_t>(backend), chain})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runs[{backend, chain}] = RunChain(backend, chain);
     }
   }
-}
 
-void PrintPaperTables() {
   Table tput("Fig 5a: nested RPC throughput (krps), 4KB arg, 1 thread",
              {"chain", "eRPC", "DmRPC-net", "DmRPC-CXL"});
   Table lat("Fig 5b: nested RPC average latency (us)",
             {"chain", "eRPC", "DmRPC-net", "DmRPC-CXL"});
   for (int chain = 1; chain <= 7; ++chain) {
-    const msvc::WorkloadResult& erpc = RunChain(msvc::Backend::kErpc, chain);
-    const msvc::WorkloadResult& net = RunChain(msvc::Backend::kDmNet, chain);
-    const msvc::WorkloadResult& cxl = RunChain(msvc::Backend::kDmCxl, chain);
+    const msvc::WorkloadResult& erpc = runs.at({msvc::Backend::kErpc, chain});
+    const msvc::WorkloadResult& net = runs.at({msvc::Backend::kDmNet, chain});
+    const msvc::WorkloadResult& cxl = runs.at({msvc::Backend::kDmCxl, chain});
     tput.AddRow({Table::Int(chain), Table::Num(erpc.throughput_rps() / 1e3),
                  Table::Num(net.throughput_rps() / 1e3),
                  Table::Num(cxl.throughput_rps() / 1e3)});
@@ -104,11 +74,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

@@ -8,8 +8,6 @@
 // in and out of its DRAM); with DmRPC the LB forwards ~30-byte Refs, so
 // its rate is size-independent and its memory traffic near zero.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "apps/load_balancer.h"
@@ -29,16 +27,7 @@ struct LbOutcome {
   double lb_bytes_per_req = 0.0;
 };
 
-std::map<std::pair<int, uint32_t>, LbOutcome>& Cache() {
-  static auto* cache = new std::map<std::pair<int, uint32_t>, LbOutcome>();
-  return *cache;
-}
-
-const LbOutcome& RunLb(msvc::Backend backend, uint32_t req_bytes) {
-  auto key = std::make_pair(static_cast<int>(backend), req_bytes);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
-
+LbOutcome RunLb(msvc::Backend backend, uint32_t req_bytes) {
   BenchEnv env = BenchEnv::FromEnv();
   sim::Simulation sim(6);
   BenchObs::Arm(&sim);
@@ -87,33 +76,18 @@ const LbOutcome& RunLb(msvc::Backend backend, uint32_t req_bytes) {
   BenchObs::Record(std::string(msvc::BackendName(backend)) + "_" +
                        std::to_string(req_bytes) + "B",
                    &sim);
-  return Cache().emplace(key, std::move(out)).first->second;
+  return out;
 }
 
-void BM_LoadBalancer(benchmark::State& state) {
-  auto backend = static_cast<msvc::Backend>(state.range(0));
-  uint32_t bytes = static_cast<uint32_t>(state.range(1));
-  for (auto _ : state) {
-    const LbOutcome& out = RunLb(backend, bytes);
-    state.counters["krps"] = out.result.throughput_rps() / 1000.0;
-    state.counters["lb_GBps"] = out.lb_gbytes_per_s;
-  }
-  state.SetLabel(msvc::BackendName(backend));
-}
-
-void RegisterAll() {
+void Main() {
+  std::map<std::pair<msvc::Backend, uint32_t>, LbOutcome> runs;
   for (msvc::Backend backend :
        {msvc::Backend::kErpc, msvc::Backend::kDmNet, msvc::Backend::kDmCxl}) {
     for (uint32_t bytes : {4096u, 8192u, 16384u, 32768u}) {
-      benchmark::RegisterBenchmark("fig06/load_balancer", BM_LoadBalancer)
-          ->Args({static_cast<int64_t>(backend), bytes})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runs[{backend, bytes}] = RunLb(backend, bytes);
     }
   }
-}
 
-void PrintPaperTables() {
   Table tput("Fig 6a: LB request rate (krps) vs request size",
              {"size", "eRPC", "DmRPC-net", "DmRPC-CXL"});
   Table bw("Fig 6b: LB-server memory bandwidth (GB/s)",
@@ -121,9 +95,9 @@ void PrintPaperTables() {
   Table per("Fig 6b': LB-server memory traffic per request (bytes)",
             {"size", "eRPC", "DmRPC-net", "DmRPC-CXL"});
   for (uint32_t bytes : {4096u, 8192u, 16384u, 32768u}) {
-    const LbOutcome& erpc = RunLb(msvc::Backend::kErpc, bytes);
-    const LbOutcome& net = RunLb(msvc::Backend::kDmNet, bytes);
-    const LbOutcome& cxl = RunLb(msvc::Backend::kDmCxl, bytes);
+    const LbOutcome& erpc = runs.at({msvc::Backend::kErpc, bytes});
+    const LbOutcome& net = runs.at({msvc::Backend::kDmNet, bytes});
+    const LbOutcome& cxl = runs.at({msvc::Backend::kDmCxl, bytes});
     tput.AddRow({FormatBytes(bytes),
                  Table::Num(erpc.result.throughput_rps() / 1e3),
                  Table::Num(net.result.throughput_rps() / 1e3),
@@ -143,11 +117,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

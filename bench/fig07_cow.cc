@@ -10,8 +10,6 @@
 // grow linearly with size (they duplicate every page eagerly), while the
 // COW variants pay only a refcount increment per page.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
@@ -29,37 +27,13 @@
 namespace dmrpc::bench {
 namespace {
 
-enum class Variant {
-  kNet = 0,
-  kNetCopy = 1,
-  kCxl = 2,
-  kCxlCopy = 3,
-};
-
-const char* VariantName(Variant v) {
-  switch (v) {
-    case Variant::kNet:
-      return "DmRPC-net";
-    case Variant::kNetCopy:
-      return "DmRPC-net-copy";
-    case Variant::kCxl:
-      return "DmRPC-CXL";
-    case Variant::kCxlCopy:
-      return "DmRPC-CXL-copy";
-  }
-  return "?";
-}
+enum class Variant { kNet, kNetCopy, kCxl, kCxlCopy };
 
 struct CowOutcome {
   double krps = 0.0;           // create_ref request rate
   double response_us = 0.0;    // mean create_ref response time
   double traffic_per_req = 0;  // DM memory bytes per create_ref
 };
-
-std::map<std::pair<int, uint32_t>, CowOutcome>& Cache() {
-  static auto* cache = new std::map<std::pair<int, uint32_t>, CowOutcome>();
-  return *cache;
-}
 
 /// Measures create_ref on the network backend: one client saturating one
 /// DM-server core with a window of outstanding create_ref calls; refs are
@@ -194,10 +168,7 @@ CowOutcome RunCxl(bool eager_copy, uint32_t size) {
   return out;
 }
 
-const CowOutcome& Run(Variant variant, uint32_t size) {
-  auto key = std::make_pair(static_cast<int>(variant), size);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
+CowOutcome Run(Variant variant, uint32_t size) {
   CowOutcome out;
   switch (variant) {
     case Variant::kNet:
@@ -213,36 +184,20 @@ const CowOutcome& Run(Variant variant, uint32_t size) {
       out = RunCxl(true, size);
       break;
   }
-  return Cache().emplace(key, out).first->second;
+  return out;
 }
 
 constexpr uint32_t kSizes[] = {4096, 16384, 65536, 262144};
 
-void BM_CreateRef(benchmark::State& state) {
-  auto variant = static_cast<Variant>(state.range(0));
-  uint32_t size = static_cast<uint32_t>(state.range(1));
-  for (auto _ : state) {
-    const CowOutcome& out = Run(variant, size);
-    state.counters["krps"] = out.krps;
-    state.counters["resp_us"] = out.response_us;
-    state.counters["traffic_B_per_req"] = out.traffic_per_req;
-  }
-  state.SetLabel(VariantName(variant));
-}
-
-void RegisterAll() {
+void Main() {
+  std::map<std::pair<Variant, uint32_t>, CowOutcome> runs;
   for (Variant v : {Variant::kNet, Variant::kNetCopy, Variant::kCxl,
                     Variant::kCxlCopy}) {
     for (uint32_t size : kSizes) {
-      benchmark::RegisterBenchmark("fig07/create_ref", BM_CreateRef)
-          ->Args({static_cast<int64_t>(v), size})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runs[{v, size}] = Run(v, size);
     }
   }
-}
 
-void PrintPaperTables() {
   Table rate("Fig 7a: create_ref request rate (krps)",
              {"size", "net", "net-copy", "cxl", "cxl-copy", "net-gain",
               "cxl-gain"});
@@ -251,10 +206,10 @@ void PrintPaperTables() {
   Table traffic("Fig 7c: DM memory traffic per request (bytes)",
                 {"size", "net", "net-copy", "cxl", "cxl-copy"});
   for (uint32_t size : kSizes) {
-    const CowOutcome& net = Run(Variant::kNet, size);
-    const CowOutcome& netc = Run(Variant::kNetCopy, size);
-    const CowOutcome& cxl = Run(Variant::kCxl, size);
-    const CowOutcome& cxlc = Run(Variant::kCxlCopy, size);
+    const CowOutcome& net = runs.at({Variant::kNet, size});
+    const CowOutcome& netc = runs.at({Variant::kNetCopy, size});
+    const CowOutcome& cxl = runs.at({Variant::kCxl, size});
+    const CowOutcome& cxlc = runs.at({Variant::kCxlCopy, size});
     rate.AddRow({FormatBytes(size), Table::Num(net.krps),
                  Table::Num(netc.krps), Table::Num(cxl.krps),
                  Table::Num(cxlc.krps),
@@ -278,11 +233,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

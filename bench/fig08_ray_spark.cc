@@ -11,8 +11,6 @@
 // written pages), while Ray/Spark are flat (they copy everything,
 // unconditionally, regardless of the write fraction).
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
@@ -28,31 +26,12 @@ namespace {
 
 constexpr uint32_t kBlockBytes = 32768;
 
-enum class System { kDmNet = 0, kDmCxl = 1, kRay = 2, kSpark = 3 };
-
-const char* SystemName(System s) {
-  switch (s) {
-    case System::kDmNet:
-      return "DmRPC-net";
-    case System::kDmCxl:
-      return "DmRPC-CXL";
-    case System::kRay:
-      return "Ray";
-    case System::kSpark:
-      return "Spark";
-  }
-  return "?";
-}
+enum class System { kDmNet, kDmCxl, kRay, kSpark };
 
 struct Outcome {
   double krps = 0.0;
   double latency_us = 0.0;
 };
-
-std::map<std::pair<int, int>, Outcome>& Cache() {
-  static auto* cache = new std::map<std::pair<int, int>, Outcome>();
-  return *cache;
-}
 
 /// DmRPC flow: producer service PutRefs the block and sends the Ref to a
 /// consumer service on another host, which maps it and writes `write_pct`
@@ -193,10 +172,7 @@ Outcome RunStore(bool spark, int write_pct) {
   return Outcome{res.throughput_rps() / 1e3, res.latency.mean() / 1e3};
 }
 
-const Outcome& Run(System system, int write_pct) {
-  auto key = std::make_pair(static_cast<int>(system), write_pct);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
+Outcome Run(System system, int write_pct) {
   Outcome out;
   switch (system) {
     case System::kDmNet:
@@ -212,45 +188,30 @@ const Outcome& Run(System system, int write_pct) {
       out = RunStore(true, write_pct);
       break;
   }
-  return Cache().emplace(key, out).first->second;
+  return out;
 }
 
 constexpr int kWritePcts[] = {0, 25, 50, 75, 100};
 
-void BM_Share(benchmark::State& state) {
-  auto system = static_cast<System>(state.range(0));
-  int pct = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    const Outcome& out = Run(system, pct);
-    state.counters["krps"] = out.krps;
-    state.counters["lat_us"] = out.latency_us;
-  }
-  state.SetLabel(SystemName(system));
-}
-
-void RegisterAll() {
+void Main() {
+  std::map<std::pair<System, int>, Outcome> runs;
   for (System s :
        {System::kDmNet, System::kDmCxl, System::kRay, System::kSpark}) {
     for (int pct : kWritePcts) {
-      benchmark::RegisterBenchmark("fig08/share_32k", BM_Share)
-          ->Args({static_cast<int64_t>(s), pct})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runs[{s, pct}] = Run(s, pct);
     }
   }
-}
 
-void PrintPaperTables() {
   Table tput("Fig 8a: 32KB block sharing throughput (krps), 1 thread",
              {"write%", "DmRPC-net", "DmRPC-CXL", "Ray", "Spark",
               "net/Ray", "cxl/Ray"});
   Table lat("Fig 8b: 32KB block sharing latency (us)",
             {"write%", "DmRPC-net", "DmRPC-CXL", "Ray", "Spark"});
   for (int pct : kWritePcts) {
-    const Outcome& net = Run(System::kDmNet, pct);
-    const Outcome& cxl = Run(System::kDmCxl, pct);
-    const Outcome& ray = Run(System::kRay, pct);
-    const Outcome& spark = Run(System::kSpark, pct);
+    const Outcome& net = runs.at({System::kDmNet, pct});
+    const Outcome& cxl = runs.at({System::kDmCxl, pct});
+    const Outcome& ray = runs.at({System::kRay, pct});
+    const Outcome& spark = runs.at({System::kSpark, pct});
     tput.AddRow(
         {Table::Int(pct), Table::Num(net.krps, 2), Table::Num(cxl.krps, 2),
          Table::Num(ray.krps, 2), Table::Num(spark.krps, 2),
@@ -267,11 +228,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

@@ -8,8 +8,6 @@
 // scale up with image size, CXL on top; at 4 KiB the latency order is
 // CXL < net < eRPC.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "apps/image_pipeline.h"
@@ -21,18 +19,7 @@
 namespace dmrpc::bench {
 namespace {
 
-std::map<std::pair<int, uint32_t>, msvc::WorkloadResult>& Cache() {
-  static auto* cache =
-      new std::map<std::pair<int, uint32_t>, msvc::WorkloadResult>();
-  return *cache;
-}
-
-const msvc::WorkloadResult& RunPipeline(msvc::Backend backend,
-                                        uint32_t image_bytes) {
-  auto key = std::make_pair(static_cast<int>(backend), image_bytes);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
-
+msvc::WorkloadResult RunPipeline(msvc::Backend backend, uint32_t image_bytes) {
   BenchEnv env = BenchEnv::FromEnv();
   sim::Simulation sim(10);
   BenchObs::Arm(&sim);
@@ -52,46 +39,27 @@ const msvc::WorkloadResult& RunPipeline(msvc::Backend backend,
   BenchObs::Record(std::string(msvc::BackendName(backend)) + "_" +
                        std::to_string(image_bytes) + "B",
                    &sim);
-  return Cache().emplace(key, std::move(res)).first->second;
+  return res;
 }
 
 constexpr uint32_t kSizes[] = {1024, 4096, 16384, 65536, 262144};
 
-void BM_ImagePipeline(benchmark::State& state) {
-  auto backend = static_cast<msvc::Backend>(state.range(0));
-  uint32_t bytes = static_cast<uint32_t>(state.range(1));
-  for (auto _ : state) {
-    const msvc::WorkloadResult& res = RunPipeline(backend, bytes);
-    state.counters["gbps"] = res.throughput_gbps();
-    state.counters["krps"] = res.throughput_rps() / 1e3;
-    state.counters["avg_lat_us"] = res.latency.mean() / 1e3;
-  }
-  state.SetLabel(msvc::BackendName(backend));
-}
-
-void RegisterAll() {
+void Main() {
+  std::map<std::pair<msvc::Backend, uint32_t>, msvc::WorkloadResult> runs;
   for (msvc::Backend backend :
        {msvc::Backend::kErpc, msvc::Backend::kDmNet, msvc::Backend::kDmCxl}) {
     for (uint32_t bytes : kSizes) {
-      benchmark::RegisterBenchmark("fig10/image_pipeline", BM_ImagePipeline)
-          ->Args({static_cast<int64_t>(backend), bytes})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runs[{backend, bytes}] = RunPipeline(backend, bytes);
     }
   }
-}
 
-void PrintPaperTables() {
   Table tput("Fig 10a: image pipeline throughput (Gbps of images)",
              {"size", "eRPC", "DmRPC-net", "DmRPC-CXL", "net-gain",
               "cxl-gain"});
   for (uint32_t bytes : kSizes) {
-    const msvc::WorkloadResult& erpc =
-        RunPipeline(msvc::Backend::kErpc, bytes);
-    const msvc::WorkloadResult& net =
-        RunPipeline(msvc::Backend::kDmNet, bytes);
-    const msvc::WorkloadResult& cxl =
-        RunPipeline(msvc::Backend::kDmCxl, bytes);
+    const msvc::WorkloadResult& erpc = runs.at({msvc::Backend::kErpc, bytes});
+    const msvc::WorkloadResult& net = runs.at({msvc::Backend::kDmNet, bytes});
+    const msvc::WorkloadResult& cxl = runs.at({msvc::Backend::kDmCxl, bytes});
     double e = erpc.throughput_gbps();
     tput.AddRow({FormatBytes(bytes), Table::Num(e, 2),
                  Table::Num(net.throughput_gbps(), 2),
@@ -103,9 +71,9 @@ void PrintPaperTables() {
 
   Table lat("Fig 10b: latency at 4KB images (us)",
             {"metric", "eRPC", "DmRPC-net", "DmRPC-CXL"});
-  const msvc::WorkloadResult& erpc = RunPipeline(msvc::Backend::kErpc, 4096);
-  const msvc::WorkloadResult& net = RunPipeline(msvc::Backend::kDmNet, 4096);
-  const msvc::WorkloadResult& cxl = RunPipeline(msvc::Backend::kDmCxl, 4096);
+  const msvc::WorkloadResult& erpc = runs.at({msvc::Backend::kErpc, 4096});
+  const msvc::WorkloadResult& net = runs.at({msvc::Backend::kDmNet, 4096});
+  const msvc::WorkloadResult& cxl = runs.at({msvc::Backend::kDmCxl, 4096});
   auto row = [&](const char* name, auto pick) {
     lat.AddRow({name, Table::Num(pick(erpc) / 1e3),
                 Table::Num(pick(net) / 1e3), Table::Num(pick(cxl) / 1e3)});
@@ -128,11 +96,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

@@ -9,8 +9,6 @@
 // because all requests traverse at least three data-mover services that
 // only forward Refs instead of post media.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "apps/socialnet.h"
@@ -23,18 +21,7 @@
 namespace dmrpc::bench {
 namespace {
 
-std::map<std::pair<int, int>, msvc::WorkloadResult>& Cache() {
-  static auto* cache =
-      new std::map<std::pair<int, int>, msvc::WorkloadResult>();
-  return *cache;
-}
-
-const msvc::WorkloadResult& RunSocialNet(msvc::Backend backend,
-                                         int rate_krps) {
-  auto key = std::make_pair(static_cast<int>(backend), rate_krps);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
-
+msvc::WorkloadResult RunSocialNet(msvc::Backend backend, int rate_krps) {
   BenchEnv env = BenchEnv::FromEnv();
   sim::Simulation sim(11);
   BenchObs::Arm(&sim);
@@ -57,46 +44,27 @@ const msvc::WorkloadResult& RunSocialNet(msvc::Backend backend,
   BenchObs::Record(std::string(msvc::BackendName(backend)) + "_" +
                        std::to_string(rate_krps) + "krps",
                    &sim);
-  return Cache().emplace(key, std::move(res)).first->second;
+  return res;
 }
 
 constexpr int kRatesKrps[] = {5, 10, 20, 40, 60, 80, 100};
 
-void BM_SocialNet(benchmark::State& state) {
-  auto backend = static_cast<msvc::Backend>(state.range(0));
-  int rate = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    const msvc::WorkloadResult& res = RunSocialNet(backend, rate);
-    state.counters["goodput_krps"] = res.throughput_rps() / 1e3;
-    state.counters["avg_us"] = res.latency.mean() / 1e3;
-    state.counters["p99_us"] = res.latency.p99() / 1e3;
-  }
-  state.SetLabel(msvc::BackendName(backend));
-}
-
-void RegisterAll() {
-  for (msvc::Backend backend :
-       {msvc::Backend::kErpc, msvc::Backend::kDmNet}) {
+void Main() {
+  std::map<std::pair<msvc::Backend, int>, msvc::WorkloadResult> runs;
+  for (msvc::Backend backend : {msvc::Backend::kErpc, msvc::Backend::kDmNet}) {
     for (int rate : kRatesKrps) {
-      benchmark::RegisterBenchmark("fig11/deathstarbench", BM_SocialNet)
-          ->Args({static_cast<int64_t>(backend), rate})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runs[{backend, rate}] = RunSocialNet(backend, rate);
     }
   }
-}
 
-void PrintPaperTables() {
   Table table(
       "Fig 11: social network latency vs offered rate "
       "(60/30/10 read-home/read-user/compose, us)",
       {"offered-krps", "eRPC-goodput", "eRPC-avg", "eRPC-p99", "eRPC-p999",
        "net-goodput", "net-avg", "net-p99", "net-p999"});
   for (int rate : kRatesKrps) {
-    const msvc::WorkloadResult& erpc =
-        RunSocialNet(msvc::Backend::kErpc, rate);
-    const msvc::WorkloadResult& net =
-        RunSocialNet(msvc::Backend::kDmNet, rate);
+    const msvc::WorkloadResult& erpc = runs.at({msvc::Backend::kErpc, rate});
+    const msvc::WorkloadResult& net = runs.at({msvc::Backend::kDmNet, rate});
     table.AddRow({Table::Int(rate),
                   Table::Num(erpc.throughput_rps() / 1e3),
                   Table::Num(erpc.latency.mean() / 1e3),
@@ -113,11 +81,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

@@ -7,8 +7,6 @@
 // Expected shape: throughput decreases only mildly across the sweep --
 // the paper's argument that its 265 ns emulation point is robust.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
@@ -23,11 +21,6 @@ namespace dmrpc::bench {
 namespace {
 
 constexpr TimeNs kLatenciesNs[] = {165, 265, 365, 465, 565};
-
-std::map<std::pair<int, TimeNs>, double>& Cache() {
-  static auto* cache = new std::map<std::pair<int, TimeNs>, double>();
-  return *cache;
-}
 
 /// 12a workload: 32 KiB block shared producer -> consumer, 50% written.
 double RunMicro(TimeNs cxl_latency) {
@@ -104,44 +97,20 @@ double RunImageApp(TimeNs cxl_latency) {
   return res.throughput_rps();
 }
 
-double Run(int which, TimeNs latency) {
-  auto key = std::make_pair(which, latency);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
-  double rps = which == 0 ? RunMicro(latency) : RunImageApp(latency);
-  return Cache().emplace(key, rps).first->second;
-}
+void Main() {
+  std::map<TimeNs, double> micro;
+  std::map<TimeNs, double> image;
+  for (TimeNs latency : kLatenciesNs) micro[latency] = RunMicro(latency);
+  for (TimeNs latency : kLatenciesNs) image[latency] = RunImageApp(latency);
 
-void BM_CxlLatency(benchmark::State& state) {
-  int which = static_cast<int>(state.range(0));
-  TimeNs latency = state.range(1);
-  for (auto _ : state) {
-    state.counters["rps"] = Run(which, latency);
-    state.counters["normalized"] = Run(which, latency) / Run(which, 165);
-  }
-  state.SetLabel(which == 0 ? "micro-32k" : "image-4k");
-}
-
-void RegisterAll() {
-  for (int which : {0, 1}) {
-    for (TimeNs latency : kLatenciesNs) {
-      benchmark::RegisterBenchmark("fig12/cxl_latency", BM_CxlLatency)
-          ->Args({which, latency})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-void PrintPaperTables() {
   Table table("Fig 12: DmRPC-CXL normalized throughput vs CXL latency",
               {"latency-ns", "micro-krps", "micro-norm", "image-krps",
                "image-norm"});
   for (TimeNs latency : kLatenciesNs) {
-    table.AddRow({Table::Int(latency), Table::Num(Run(0, latency) / 1e3),
-                  Table::Num(Run(0, latency) / Run(0, 165), 3),
-                  Table::Num(Run(1, latency) / 1e3),
-                  Table::Num(Run(1, latency) / Run(1, 165), 3)});
+    table.AddRow({Table::Int(latency), Table::Num(micro.at(latency) / 1e3),
+                  Table::Num(micro.at(latency) / micro.at(165), 3),
+                  Table::Num(image.at(latency) / 1e3),
+                  Table::Num(image.at(latency) / image.at(165), 3)});
   }
   table.Print();
 }
@@ -149,11 +118,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

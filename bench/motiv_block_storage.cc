@@ -8,8 +8,6 @@
 //
 // Reports write and mixed-workload throughput vs block size per backend.
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "apps/block_storage.h"
@@ -27,16 +25,7 @@ struct Outcome {
   double mixed_krps = 0.0;
 };
 
-std::map<std::pair<int, uint32_t>, Outcome>& Cache() {
-  static auto* cache = new std::map<std::pair<int, uint32_t>, Outcome>();
-  return *cache;
-}
-
-const Outcome& RunOne(msvc::Backend backend, uint32_t block_bytes) {
-  auto key = std::make_pair(static_cast<int>(backend), block_bytes);
-  auto it = Cache().find(key);
-  if (it != Cache().end()) return it->second;
-
+Outcome RunOne(msvc::Backend backend, uint32_t block_bytes) {
   BenchEnv env = BenchEnv::FromEnv();
   Outcome out;
   for (int phase = 0; phase < 2; ++phase) {
@@ -67,36 +56,20 @@ const Outcome& RunOne(msvc::Backend backend, uint32_t block_bytes) {
                          (phase == 0 ? "writes" : "mixed"),
                      &sim);
   }
-  return Cache().emplace(key, out).first->second;
+  return out;
 }
 
 constexpr uint32_t kSizes[] = {16384, 65536, 262144};
 
-void BM_BlockStorage(benchmark::State& state) {
-  auto backend = static_cast<msvc::Backend>(state.range(0));
-  uint32_t bytes = static_cast<uint32_t>(state.range(1));
-  for (auto _ : state) {
-    const Outcome& out = RunOne(backend, bytes);
-    state.counters["write_krps"] = out.write_krps;
-    state.counters["write_gbps"] = out.write_gbps;
-    state.counters["mixed_krps"] = out.mixed_krps;
-  }
-  state.SetLabel(msvc::BackendName(backend));
-}
-
-void RegisterAll() {
+void Main() {
+  std::map<std::pair<msvc::Backend, uint32_t>, Outcome> runs;
   for (msvc::Backend backend :
        {msvc::Backend::kErpc, msvc::Backend::kDmNet, msvc::Backend::kDmCxl}) {
     for (uint32_t bytes : kSizes) {
-      benchmark::RegisterBenchmark("motiv/block_storage", BM_BlockStorage)
-          ->Args({static_cast<int64_t>(backend), bytes})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runs[{backend, bytes}] = RunOne(backend, bytes);
     }
   }
-}
 
-void PrintPaperTables() {
   Table writes(
       "Motivation (paper I): replicated block-store write path "
       "(3-deep chain), Gbps of blocks",
@@ -104,9 +77,9 @@ void PrintPaperTables() {
   Table mixed("Block store, 30% writes / 70% reads (krps)",
               {"block", "eRPC", "DmRPC-net", "DmRPC-CXL"});
   for (uint32_t bytes : kSizes) {
-    const Outcome& erpc = RunOne(msvc::Backend::kErpc, bytes);
-    const Outcome& net = RunOne(msvc::Backend::kDmNet, bytes);
-    const Outcome& cxl = RunOne(msvc::Backend::kDmCxl, bytes);
+    const Outcome& erpc = runs.at({msvc::Backend::kErpc, bytes});
+    const Outcome& net = runs.at({msvc::Backend::kDmNet, bytes});
+    const Outcome& cxl = runs.at({msvc::Backend::kDmCxl, bytes});
     writes.AddRow(
         {FormatBytes(bytes), Table::Num(erpc.write_gbps, 2),
          Table::Num(net.write_gbps, 2), Table::Num(cxl.write_gbps, 2),
@@ -129,11 +102,4 @@ void PrintPaperTables() {
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

@@ -13,9 +13,6 @@
 // coordination (Programming), and whether writes are possible at all
 // without a new object (Mutability).
 
-#include <benchmark/benchmark.h>
-
-#include <map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -41,27 +38,6 @@ struct Outcome {
   /// request (Table I's "Programming" column, made countable).
   double sync_ops_per_req = 0.0;
 };
-
-enum class Method { kRpcValue = 0, kDsm = 1, kDataStore = 2, kDmRpc = 3 };
-
-const char* MethodName(Method m) {
-  switch (m) {
-    case Method::kRpcValue:
-      return "Traditional RPC";
-    case Method::kDsm:
-      return "DSM model";
-    case Method::kDataStore:
-      return "In-memory store";
-    case Method::kDmRpc:
-      return "DmRPC";
-  }
-  return "?";
-}
-
-std::map<int, Outcome>& Cache() {
-  static auto* cache = new std::map<int, Outcome>();
-  return *cache;
-}
 
 /// Traditional RPC and DmRPC share a harness: the backend decides whether
 /// bytes or Refs cross the wire.
@@ -359,75 +335,29 @@ Outcome RunStore() {
   return Outcome{res.throughput_rps() / 1e3, res.latency.mean() / 1e3, 0.0};
 }
 
-const Outcome& Run(Method m) {
-  auto it = Cache().find(static_cast<int>(m));
-  if (it != Cache().end()) return it->second;
-  Outcome out;
-  switch (m) {
-    case Method::kRpcValue:
-      out = RunRpcStyle(msvc::Backend::kErpc);
-      break;
-    case Method::kDsm:
-      out = RunDsm();
-      break;
-    case Method::kDataStore:
-      out = RunStore();
-      break;
-    case Method::kDmRpc:
-      out = RunRpcStyle(msvc::Backend::kDmNet);
-      break;
-  }
-  return Cache().emplace(static_cast<int>(m), out).first->second;
-}
-
-void BM_Sharing(benchmark::State& state) {
-  auto m = static_cast<Method>(state.range(0));
-  for (auto _ : state) {
-    const Outcome& out = Run(m);
-    state.counters["krps"] = out.krps;
-    state.counters["lat_us"] = out.latency_us;
-  }
-  state.SetLabel(MethodName(m));
-}
-
-void RegisterAll() {
-  for (Method m : {Method::kRpcValue, Method::kDsm, Method::kDataStore,
-                   Method::kDmRpc}) {
-    benchmark::RegisterBenchmark("table1/sharing_methods", BM_Sharing)
-        ->Arg(static_cast<int64_t>(m))
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-void PrintPaperTables() {
+void Main() {
   Table table(
       "Table I quantified: 32KB producer->consumer share + 25% in-place "
       "write, 1 thread",
       {"approach", "krps", "latency-us", "app-sync-ops/req", "semantics",
        "mutability"});
-  auto row = [&](Method m, const char* semantics, const char* mutability) {
-    const Outcome& out = Run(m);
-    table.AddRow({MethodName(m), Table::Num(out.krps, 2),
+  auto row = [&](const char* approach, const Outcome& out,
+                 const char* semantics, const char* mutability) {
+    table.AddRow({approach, Table::Num(out.krps, 2),
                   Table::Num(out.latency_us, 1),
                   Table::Num(out.sync_ops_per_req, 0), semantics,
                   mutability});
   };
-  row(Method::kRpcValue, "by-value", "private copy only");
-  row(Method::kDsm, "by-reference", "shared, app-locked");
-  row(Method::kDataStore, "by-reference", "immutable");
-  row(Method::kDmRpc, "by-reference", "mutable via COW");
+  row("Traditional RPC", RunRpcStyle(msvc::Backend::kErpc), "by-value",
+      "private copy only");
+  row("DSM model", RunDsm(), "by-reference", "shared, app-locked");
+  row("In-memory store", RunStore(), "by-reference", "immutable");
+  row("DmRPC", RunRpcStyle(msvc::Backend::kDmNet), "by-reference",
+      "mutable via COW");
   table.Print();
 }
 
 }  // namespace
 }  // namespace dmrpc::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  dmrpc::bench::RegisterAll();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dmrpc::bench::PrintPaperTables();
-  return 0;
-}
+int main() { dmrpc::bench::Main(); }

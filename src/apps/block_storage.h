@@ -62,7 +62,6 @@ class BlockStorageApp {
                                  uint32_t block_bytes, double write_fraction);
 
   uint64_t blocks_stored() const { return blocks_stored_; }
-  int chain_length() const { return 1 + cfg_.replicas_per_shard; }
 
  private:
   /// One stored block on one storage node.

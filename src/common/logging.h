@@ -18,7 +18,7 @@ enum class LogLevel : int {
 };
 
 /// Process-wide minimum severity; messages below it are dropped.
-/// Defaults to kInfo; tests lower it to inspect protocol traces.
+/// Defaults to kInfo.
 LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 

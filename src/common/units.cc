@@ -38,14 +38,4 @@ std::string FormatBytes(uint64_t bytes) {
   return buf;
 }
 
-std::string FormatGbps(uint64_t bytes, TimeNs elapsed) {
-  char buf[64];
-  double gbps = 0.0;
-  if (elapsed > 0) {
-    gbps = static_cast<double>(bytes) * 8.0 / static_cast<double>(elapsed);
-  }
-  std::snprintf(buf, sizeof(buf), "%.2f Gbps", gbps);
-  return buf;
-}
-
 }  // namespace dmrpc

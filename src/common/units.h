@@ -35,9 +35,6 @@ std::string FormatDuration(TimeNs ns);
 /// "4.0K", "32K", "1.0M" ... human-readable byte size.
 std::string FormatBytes(uint64_t bytes);
 
-/// "12.34 Gbps" from bytes moved over a duration.
-std::string FormatGbps(uint64_t bytes, TimeNs elapsed);
-
 }  // namespace dmrpc
 
 #endif  // DMRPC_COMMON_UNITS_H_

@@ -57,7 +57,6 @@ class Payload {
 
   /// The inline data as a slice chain (no bytes move to access it).
   const rpc::MsgBuffer& inline_data() const { return data_; }
-  rpc::MsgBuffer TakeInlineData() && { return std::move(data_); }
   const dm::Ref& ref() const { return ref_; }
 
   void EncodeTo(rpc::MsgBuffer* out) const {

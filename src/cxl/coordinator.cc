@@ -51,7 +51,6 @@ sim::Task<MsgBuffer> Coordinator::HandleReturn(ReqContext ctx,
   uint32_t n = req.Read<uint32_t>();
   co_await sim::Delay(200);
   for (uint32_t i = 0; i < n; ++i) free_.push_back(req.Read<uint32_t>());
-  returns_ += n;
   MsgBuffer resp;
   dmnet::PutStatus(&resp, Status::OK());
   co_return resp;

@@ -36,7 +36,6 @@ class Coordinator {
   net::Port port() const { return port_; }
   size_t free_frames() const { return free_.size(); }
   uint64_t grants() const { return grants_; }
-  uint64_t returns() const { return returns_; }
 
  private:
   sim::Task<rpc::MsgBuffer> HandleRequest(rpc::ReqContext ctx,
@@ -49,7 +48,6 @@ class Coordinator {
   std::unique_ptr<rpc::Rpc> rpc_;
   std::deque<dm::FrameId> free_;
   uint64_t grants_ = 0;
-  uint64_t returns_ = 0;
 };
 
 }  // namespace dmrpc::cxl

@@ -63,9 +63,8 @@ class CxlPort {
   GfamDevice* device() { return device_; }
   sim::Simulation* simulation() { return sim_; }
   const CxlPortStats& stats() const { return stats_; }
-  const mem::MemoryConfig& memory_config() const { return memory_; }
 
-  /// Changes the modeled CXL access latency (Fig. 12's knob).
+  /// Changes this port's modeled CXL access latency.
   void set_cxl_latency_ns(TimeNs ns) { memory_.cxl_latency_ns = ns; }
 
   /// Streams `len` bytes from frame `frame` at `offset` into `dst`.

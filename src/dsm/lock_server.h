@@ -65,13 +65,6 @@ struct RegionLock {
     std::shared_ptr<sim::Completion<Status>> granted;
   };
   std::deque<Waiter> queue;
-
-  bool HasExclusive() const {
-    for (const Holder& h : holders) {
-      if (h.mode == LockMode::kExclusive) return true;
-    }
-    return false;
-  }
 };
 
 /// The synchronization service a DSM-model deployment needs (Table I):

@@ -7,20 +7,6 @@
 
 namespace dmrpc::fault {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDrop:
-      return "drop";
-    case FaultKind::kCorrupt:
-      return "corrupt";
-    case FaultKind::kDuplicate:
-      return "duplicate";
-    case FaultKind::kReorder:
-      return "reorder";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // FaultPlan
 // ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ enum class FaultKind : uint8_t {
   kReorder = 3,    // hold the packet back so later traffic overtakes
 };
 
-const char* FaultKindName(FaultKind kind);
-
 /// One packet-fault rule: during the virtual-time window
 /// [start_ns, end_ns) every packet traversing link (node, dir) is hit
 /// with `probability` (1.0 = deterministic: every packet, no rng draw).
@@ -207,7 +205,6 @@ class FaultInjector final : public net::FaultHook {
   };
 
   LinkState& link(net::NodeId node, net::LinkDir dir);
-  const LinkState* link_if_known(net::NodeId node, net::LinkDir dir) const;
   void SetLinkDown(net::NodeId node, net::LinkDir dir, bool down);
   void SetSwitchDown(net::SwitchId switch_id, bool down);
   void OnCrash(net::NodeId node);

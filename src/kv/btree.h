@@ -86,8 +86,6 @@ class BTree {
   const BTreeConfig& config() const { return cfg_; }
   const BTreeStats& stats() const { return stats_; }
   NodeStore* store() { return store_; }
-  uint32_t leaf_capacity() const { return leaf_cap_; }
-  uint32_t inner_capacity() const { return inner_cap_; }
   /// Total structure modifications so far -- tests snapshot this around
   /// operations to invoke CheckInvariants after every split/merge.
   uint64_t smo_count() const {

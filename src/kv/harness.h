@@ -73,7 +73,6 @@ class KvCluster {
   dsm::LockServer* lock_server() { return lock_server_.get(); }
   msvc::Cluster* cluster() { return cluster_.get(); }
   const KvClusterConfig& config() const { return cfg_; }
-  net::NodeId lock_node() const { return lock_node_; }
   /// Fabric node client `i` runs on (clients occupy nodes 0..n-1).
   net::NodeId client_node(size_t i) const {
     return static_cast<net::NodeId>(i);

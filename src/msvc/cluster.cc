@@ -223,10 +223,4 @@ sim::Task<Status> Cluster::InitAll() {
   co_return Status::OK();
 }
 
-void Cluster::SetCxlLatency(TimeNs ns) {
-  for (auto& port : cxl_ports_) {
-    if (port) port->set_cxl_latency_ns(ns);
-  }
-}
-
 }  // namespace dmrpc::msvc

@@ -183,9 +183,6 @@ class Cluster {
     return dm_addrs_;
   }
 
-  /// Sets the modeled CXL latency on every host port (Fig. 12's sweep).
-  void SetCxlLatency(TimeNs ns);
-
  private:
   sim::Simulation* sim_;
   ClusterConfig cfg_;

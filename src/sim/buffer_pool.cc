@@ -78,12 +78,6 @@ void PooledBuf::AppendBytes(const void* src, size_t len) {
   slab_->len = static_cast<uint32_t>(old + len);
 }
 
-PooledBuf PooledBuf::Copy(const void* src, size_t len) {
-  PooledBuf buf;
-  buf.AppendBytes(src, len);
-  return buf;
-}
-
 // ---------------------------------------------------------------------------
 // BufSlice
 // ---------------------------------------------------------------------------

@@ -134,9 +134,6 @@ class PooledBuf {
     return out;
   }
 
-  /// A heap-backed (unpooled) buffer holding a copy of `src`.
-  static PooledBuf Copy(const void* src, size_t len);
-
  private:
   friend class BufferPool;
   friend class BufSlice;

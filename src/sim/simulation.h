@@ -218,10 +218,6 @@ struct DelayAwaiter {
 /// co_await Delay(ns): suspend the current task for `ns` virtual time.
 inline DelayAwaiter Delay(TimeNs ns) { return DelayAwaiter{ns}; }
 
-/// co_await Yield(): reschedule at the current instant, letting other
-/// ready events run first.
-inline DelayAwaiter Yield() { return DelayAwaiter{0}; }
-
 }  // namespace dmrpc::sim
 
 #endif  // DMRPC_SIM_SIMULATION_H_
