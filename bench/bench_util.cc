@@ -151,8 +151,8 @@ void BenchObs::Arm(sim::Simulation* sim) {
     sim->tracer().set_enabled(true);
     // A bench run records a few records per request across every layer;
     // the default limit sheds records on the bigger scenarios, which
-    // truncates span trees and fails trace_analyze --check. 8M records
-    // covers the largest fig* run at CI scale with headroom.
+    // truncates span trees and turns the breakdown's status to PROBLEMS.
+    // 8M records covers the largest fig* run at CI scale with headroom.
     sim->tracer().set_limit(size_t{1} << 23);
   }
   if (const char* us = std::getenv("DMRPC_TIMELINE_US")) {
@@ -185,13 +185,6 @@ void BenchObs::Record(const std::string& label, sim::Simulation* sim) {
                   sim->tracer().records().size());
     } else {
       LOG_WARN << "cannot write trace " << path;
-    }
-    std::string jsonl_path = base + ".trace.jsonl";
-    std::ofstream jsonl(jsonl_path);
-    if (jsonl) {
-      sim->tracer().WriteJsonLines(jsonl);
-    } else {
-      LOG_WARN << "cannot write trace " << jsonl_path;
     }
     // Per-run latency-breakdown sidecar: span trees reconstructed from
     // this run's records, critical paths attributed per layer and hop.
@@ -233,6 +226,15 @@ void BenchObs::Record(const std::string& label, sim::Simulation* sim) {
     // run's sidecar (the boundary grid itself stays armed).
     sim->timeline().Clear();
   }
+}
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 14695981039346656037ull;
+  for (char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 }  // namespace dmrpc::bench

@@ -59,16 +59,21 @@ struct BenchEnv {
 /// DMRPC_METRICS_PATH). The file is rewritten after every Record() so
 /// already-recorded runs survive a later scenario aborting the process.
 ///
-/// Setting DMRPC_TRACE_DIR additionally enables the simulation's event
-/// tracer and writes three sidecars per run under that directory:
+/// Setting DMRPC_TRACE_DIR (an existing directory) additionally enables
+/// the simulation's event tracer and writes two sidecars per run under
+/// that directory, both from the tracer's in-memory records:
 ///
 ///   <bench>_<label>.trace.json     Chrome trace_event file (load it in
 ///                                  chrome://tracing or ui.perfetto.dev)
-///   <bench>_<label>.trace.jsonl    raw record dump, one JSON per line
-///                                  (input format of trace_analyze)
 ///   <bench>_<label>.breakdown.txt  per-request critical-path latency
 ///                                  breakdown by layer and by hop
-///                                  (obs::TraceAnalysis::TextReport)
+///                                  (obs::TraceAnalysis::TextReport);
+///                                  its `status: OK` line certifies
+///                                  well-formed span trees and exact
+///                                  per-layer/per-hop sums
+///
+/// A sidecar that cannot be written is logged as a warning; the run
+/// itself carries on, and no sidecar sets the exit code.
 ///
 /// Setting DMRPC_TIMELINE_US=<interval in virtual microseconds> arms the
 /// simulation's virtual-time timeline sampler (sim::Simulation::
@@ -91,6 +96,9 @@ class BenchObs {
   /// within a binary) and flushes the pending Chrome trace, if armed.
   static void Record(const std::string& label, sim::Simulation* sim);
 };
+
+/// 64-bit FNV-1a hash: the sweeps' metrics and timeline fingerprints.
+uint64_t Fnv1a(const std::string& s);
 
 }  // namespace dmrpc::bench
 

@@ -97,15 +97,6 @@ struct Options {
   bool verify = false;
 };
 
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 14695981039346656037ull;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// One measured (mode, mix, rate) point.
 struct RatePoint {
   double offered_krps = 0;

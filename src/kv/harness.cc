@@ -18,7 +18,6 @@ KvCluster::KvCluster(sim::Simulation* sim, KvClusterConfig cfg)
   lock_node_ = static_cast<net::NodeId>(cfg_.num_clients);
   cc.page_size = cfg_.page_size;
   cc.dm_frames = cfg_.dm_frames;
-  cc.dm_server.num_frames = cfg_.dm_frames;
   cluster_ = std::make_unique<msvc::Cluster>(sim_, cc);
   lock_server_ = std::make_unique<dsm::LockServer>(cluster_->fabric(),
                                                    lock_node_);

@@ -54,6 +54,9 @@ struct ClusterConfig {
   mem::MemoryConfig memory;
   rpc::RpcConfig rpc;
   core::DmRpcConfig dmrpc;
+  /// Per-DM-server settings (kDmNet). The cluster overwrites its
+  /// page_size, num_frames and memory with page_size, dm_frames and
+  /// memory above; set those there.
   dmnet::DmServerConfig dm_server;
   cxl::HostDmConfig host_dm;
 };

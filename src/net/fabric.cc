@@ -58,30 +58,16 @@ const char* DropReasonName(DropReason reason) {
 }
 
 void Fabric::TraceSlow(TraceStage stage, const Packet& pkt) {
-  if (sim_->tracer().enabled()) {
-    // Tx-side stages land on the sender's lane, the rest on the receiver's.
-    uint32_t track =
-        (stage == TraceStage::kNicTx || stage == TraceStage::kOnWire)
-            ? pkt.src
-            : pkt.dst;
-    sim_->tracer().Instant(
-        pkt.trace, "net", std::string("net.pkt.") + TraceStageName(stage),
-        sim_->Now(), track,
-        "{\"pkt\":" + std::to_string(pkt.id) + ",\"src\":" +
-            std::to_string(pkt.src) + ",\"dst\":" + std::to_string(pkt.dst) +
-            ",\"bytes\":" + std::to_string(pkt.payload_size()) + "}");
-  }
-  if (!trace_) return;
-  TraceEvent ev;
-  ev.time = sim_->Now();
-  ev.stage = stage;
-  ev.packet_id = pkt.id;
-  ev.src = pkt.src;
-  ev.dst = pkt.dst;
-  ev.src_port = pkt.src_port;
-  ev.dst_port = pkt.dst_port;
-  ev.bytes = static_cast<uint32_t>(pkt.payload_size());
-  trace_(ev);
+  // Tx-side stages land on the sender's lane, the rest on the receiver's.
+  uint32_t track =
+      (stage == TraceStage::kNicTx || stage == TraceStage::kOnWire) ? pkt.src
+                                                                     : pkt.dst;
+  sim_->tracer().Instant(
+      pkt.trace, "net", std::string("net.pkt.") + TraceStageName(stage),
+      sim_->Now(), track,
+      "{\"pkt\":" + std::to_string(pkt.id) + ",\"src\":" +
+          std::to_string(pkt.src) + ",\"dst\":" + std::to_string(pkt.dst) +
+          ",\"bytes\":" + std::to_string(pkt.payload_size()) + "}");
 }
 
 obs::Counter* Fabric::DropReasonCounter(DropReason reason) {

@@ -54,7 +54,8 @@ inline constexpr int kNumDropReasons = 6;
 
 const char* DropReasonName(DropReason reason);
 
-/// Stages of a packet's life, in order, as reported to a trace sink.
+/// Stages of a packet's life, in order. While the simulation's tracer is
+/// enabled the fabric records each as a `net.pkt.<stage>` instant.
 enum class TraceStage : uint8_t {
   kNicTx = 0,     // accepted by the sender's NIC queue
   kOnWire = 1,    // serialized onto the cable towards the switch
@@ -64,22 +65,6 @@ enum class TraceStage : uint8_t {
 };
 
 const char* TraceStageName(TraceStage stage);
-
-/// One trace event; the sink receives every stage of every packet while
-/// tracing is enabled. Useful for protocol debugging and for asserting
-/// latency decompositions in tests.
-struct TraceEvent {
-  TimeNs time = 0;
-  TraceStage stage = TraceStage::kNicTx;
-  uint64_t packet_id = 0;
-  NodeId src = kInvalidNode;
-  NodeId dst = kInvalidNode;
-  Port src_port = 0;
-  Port dst_port = 0;
-  uint32_t bytes = 0;
-};
-
-using TraceSink = std::function<void(const TraceEvent&)>;
 
 /// Per-port accounting of one switch egress queue.
 struct PortStat {
@@ -163,16 +148,13 @@ class Fabric {
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
   FaultHook* fault_hook() { return fault_hook_; }
 
-  /// Installs a packet-trace sink (pass nullptr to disable). The sink
-  /// sees every TraceStage of every packet; keep it cheap.
-  void set_trace_sink(TraceSink sink) { trace_ = std::move(sink); }
-
-  /// Called by NICs and the switch at each packet stage. Feeds both the
-  /// test sink above and, when the simulation's tracer is enabled,
-  /// per-stage instant events on the "net" category. Inline early-out:
-  /// this runs several times per packet and tracing is usually off.
+  /// Called by NICs and the switch at each packet stage. When the
+  /// simulation's tracer is enabled, records a `net.pkt.<stage>` instant
+  /// on the "net" category whose args carry the packet id, src, dst and
+  /// payload bytes. Inline early-out: this runs several times per packet
+  /// and tracing is usually off.
   void Trace(TraceStage stage, const Packet& pkt) {
-    if (trace_ == nullptr && !sim_->tracer().enabled()) return;
+    if (!sim_->tracer().enabled()) return;
     TraceSlow(stage, pkt);
   }
 
@@ -254,7 +236,6 @@ class Fabric {
   SwitchStats switch_stats_;
   std::function<bool(const Packet&)> drop_filter_;
   FaultHook* fault_hook_ = nullptr;
-  TraceSink trace_;
   uint64_t next_packet_id_ = 1;
   obs::Counter* m_forwarded_;
   obs::Counter* m_dropped_;

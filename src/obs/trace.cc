@@ -42,9 +42,9 @@ void AppendEscaped(std::string* out, const std::string& s) {
 }
 
 /// Structural check that `s` is one balanced JSON object, string-aware
-/// (braces inside string literals don't count). Exporters emit args
-/// verbatim only when this holds; anything else is wrapped as an escaped
-/// string so a bad caller cannot corrupt the whole trace file.
+/// (braces inside string literals don't count). The Chrome export emits
+/// args verbatim only when this holds; anything else is wrapped as an
+/// escaped string so a bad caller cannot corrupt the whole trace file.
 bool LooksLikeJsonObject(const std::string& s) {
   if (s.empty() || s.front() != '{') return false;
   int depth = 0;
@@ -90,26 +90,6 @@ void AppendArgs(std::string* out, const std::string& args) {
   }
 }
 
-/// Renders the common fields of one JSONL record.
-std::string JsonlRecord(const TraceRecord& r, const char* ph) {
-  std::string line = "{\"ph\":\"";
-  line += ph;
-  line += "\",\"ts\":" + std::to_string(r.time);
-  if (r.id != 0) line += ",\"id\":" + std::to_string(r.id);
-  if (r.trace_id != 0) line += ",\"trace\":" + std::to_string(r.trace_id);
-  if (r.parent_id != 0) line += ",\"parent\":" + std::to_string(r.parent_id);
-  line += ",\"track\":" + std::to_string(r.track);
-  line += ",\"depth\":" + std::to_string(r.depth);
-  line += ",\"cat\":\"";
-  AppendEscaped(&line, r.cat);
-  line += "\",\"name\":\"";
-  AppendEscaped(&line, r.name);
-  line += "\"";
-  AppendArgs(&line, r.args);
-  line += "}";
-  return line;
-}
-
 /// Splices `key:value` into an args object string ("" means no object
 /// yet), keeping it a valid object.
 void MergeArg(std::string* args, const std::string& key, uint64_t value) {
@@ -136,7 +116,6 @@ uint64_t Tracer::BeginSpanRecord(uint64_t trace_id, uint64_t parent_id,
     return 0;
   }
   uint64_t id = next_id_++;
-  uint32_t& depth = depth_by_track_[track];
   TraceRecord rec;
   rec.phase = TracePhase::kSpanBegin;
   rec.time = now;
@@ -144,13 +123,11 @@ uint64_t Tracer::BeginSpanRecord(uint64_t trace_id, uint64_t parent_id,
   rec.trace_id = trace_id;
   rec.parent_id = parent_id;
   rec.track = track;
-  rec.depth = depth;
   rec.cat = std::move(cat);
   rec.name = std::move(name);
   rec.args = std::move(args);
   open_.emplace(id, records_.size());
   records_.push_back(std::move(rec));
-  ++depth;
   return id;
 }
 
@@ -174,8 +151,8 @@ void Tracer::EndSpan(uint64_t id, TimeNs now) {
   TraceRecord& begin = records_[it->second];
   auto copied = open_copied_.find(id);
   if (copied != open_copied_.end()) {
-    // Fold attributed copies into the begin record so both exporters
-    // (which render spans off the begin) carry them.
+    // Fold attributed copies into the begin record, which is where the
+    // analyzer and the Chrome export read a span's args.
     MergeArg(&begin.args, "copied", copied->second);
     open_copied_.erase(copied);
   }
@@ -186,12 +163,9 @@ void Tracer::EndSpan(uint64_t id, TimeNs now) {
   rec.trace_id = begin.trace_id;
   rec.parent_id = begin.parent_id;
   rec.track = begin.track;
-  rec.depth = begin.depth;
   rec.cat = begin.cat;
   rec.name = begin.name;
   open_.erase(it);
-  auto d = depth_by_track_.find(rec.track);
-  if (d != depth_by_track_.end() && d->second > 0) --d->second;
   if (Full()) {
     // Record the end even at the limit so no span leaks open; only new
     // begins/instants are shed.
@@ -233,36 +207,17 @@ void Tracer::Instant(const TraceContext& ctx, std::string cat,
   rec.trace_id = ctx.trace_id;
   rec.parent_id = ctx.span_id;
   rec.track = track;
-  auto d = depth_by_track_.find(track);
-  rec.depth = d == depth_by_track_.end() ? 0 : d->second;
   rec.cat = std::move(cat);
   rec.name = std::move(name);
   rec.args = std::move(args);
   records_.push_back(std::move(rec));
 }
 
-uint32_t Tracer::OpenDepth(uint32_t track) const {
-  auto it = depth_by_track_.find(track);
-  return it == depth_by_track_.end() ? 0 : it->second;
-}
-
 void Tracer::Clear() {
   records_.clear();
   open_.clear();
   open_copied_.clear();
-  depth_by_track_.clear();
   dropped_ = 0;
-}
-
-void Tracer::WriteJsonLines(std::ostream& os) const {
-  for (const TraceRecord& r : records_) {
-    const char* ph = r.phase == TracePhase::kSpanBegin  ? "B"
-                     : r.phase == TracePhase::kSpanEnd ? "E"
-                                                       : "i";
-    os << JsonlRecord(r, ph) << "\n";
-  }
-  os << "{\"ph\":\"M\",\"name\":\"trace_metadata\",\"args\":{\"dropped\":"
-     << dropped_ << "}}\n";
 }
 
 void Tracer::WriteChromeTrace(std::ostream& os) const {

@@ -20,11 +20,9 @@ enum class TracePhase : uint8_t {
 };
 
 /// One recorded event. Spans are stored as begin/end pairs linked by
-/// `id`; `depth` is the number of spans already open on the same track
-/// when this one began (used to assert nesting in tests). Spans opened
-/// through the causal overload additionally carry the trace they belong
-/// to and their causal parent span, which is what lets the analyzer
-/// stitch per-node spans into one distributed request tree.
+/// `id`. Spans opened through the causal overload additionally carry the
+/// trace they belong to and their causal parent span, which is what lets
+/// the analyzer stitch per-node spans into one distributed request tree.
 struct TraceRecord {
   TracePhase phase = TracePhase::kInstant;
   TimeNs time = 0;        // virtual time
@@ -32,15 +30,18 @@ struct TraceRecord {
   uint64_t trace_id = 0;  // causal trace (0 = not part of a trace)
   uint64_t parent_id = 0; // causal parent span (0 = root of its trace)
   uint32_t track = 0;     // display lane, conventionally the node id
-  uint32_t depth = 0;     // open-span depth on `track` at begin time
   std::string cat;        // layer: "sim", "net", "rpc", "dm", "app"
   std::string name;       // event name, e.g. "rpc.call"
   std::string args;       // optional JSON object ("{...}"), or empty
+
+  friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
 /// Records typed spans and instants on the simulation's virtual-time
-/// axis and exports them as JSON-lines or as a Chrome `trace_event` file
-/// loadable in chrome://tracing or https://ui.perfetto.dev.
+/// axis. Consumers read the in-memory records() (obs::TraceAnalysis
+/// builds span trees from them); WriteChromeTrace exports them as a
+/// Chrome `trace_event` file loadable in chrome://tracing or
+/// https://ui.perfetto.dev.
 ///
 /// The tracer is owned by `sim::Simulation` and is purely observational:
 /// recording never schedules events, consumes randomness, or otherwise
@@ -49,7 +50,7 @@ struct TraceRecord {
 /// enabled it keeps at most `limit()` records in memory and counts the
 /// overflow in dropped(). A nonzero drop count is surfaced three ways so
 /// a truncated trace is detectable instead of silently misleading: the
-/// dropped() accessor, a metadata record in both export formats, and an
+/// dropped() accessor, a metadata event in the Chrome export, and an
 /// `obs.trace_dropped` entry folded into the simulation metrics dump.
 class Tracer {
  public:
@@ -110,16 +111,7 @@ class Tracer {
   /// after every iteration: no span leaks).
   size_t open_span_count() const { return open_.size(); }
 
-  /// Spans currently open on `track`.
-  uint32_t OpenDepth(uint32_t track) const;
-
   void Clear();
-
-  /// One JSON object per line, in record order:
-  ///   {"ph":"B","ts":120,"id":7,"trace":3,"parent":5,"track":0,...}
-  /// `ts` is virtual nanoseconds. Machine-oriented; diffable. Ends with
-  /// a metadata line {"ph":"M",...,"args":{"dropped":N}}.
-  void WriteJsonLines(std::ostream& os) const;
 
   /// Chrome trace_event JSON (the `{"traceEvents":[...]}` form). Spans
   /// become complete ("X") slices with microsecond timestamps, instants
@@ -144,7 +136,6 @@ class Tracer {
   std::unordered_map<uint64_t, size_t> open_;
   /// id -> bytes copied attributed while open (see AttributeBytesCopied).
   std::unordered_map<uint64_t, uint64_t> open_copied_;
-  std::unordered_map<uint32_t, uint32_t> depth_by_track_;
 };
 
 /// The ambient trace context, minting a fresh root trace (sampled, no

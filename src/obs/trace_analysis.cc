@@ -1,7 +1,6 @@
 #include "obs/trace_analysis.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
@@ -10,110 +9,8 @@ namespace dmrpc::obs {
 namespace {
 
 /// How many structural problems Check() describes verbatim before it
-/// just counts; keeps reports readable on badly broken dumps.
+/// just counts; keeps reports readable on badly broken traces.
 constexpr size_t kMaxProblemDescriptions = 10;
-
-// --- JSONL parsing ---------------------------------------------------------
-// The parser accepts exactly what Tracer::WriteJsonLines emits (one flat
-// object per line; string, integer, or object values). Unknown keys are
-// skipped so the format can grow without breaking old analyzers.
-
-struct Cursor {
-  const std::string& s;
-  size_t i = 0;
-
-  bool done() const { return i >= s.size(); }
-  char peek() const { return s[i]; }
-  bool Eat(char c) {
-    if (done() || s[i] != c) return false;
-    ++i;
-    return true;
-  }
-};
-
-bool ParseString(Cursor* c, std::string* out) {
-  if (!c->Eat('"')) return false;
-  out->clear();
-  while (!c->done()) {
-    char ch = c->s[c->i++];
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      out->push_back(ch);
-      continue;
-    }
-    if (c->done()) return false;
-    char esc = c->s[c->i++];
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case '/': out->push_back('/'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
-      case 't': out->push_back('\t'); break;
-      case 'b': out->push_back('\b'); break;
-      case 'f': out->push_back('\f'); break;
-      case 'u': {
-        if (c->i + 4 > c->s.size()) return false;
-        unsigned v = 0;
-        for (int k = 0; k < 4; ++k) {
-          char h = c->s[c->i++];
-          v <<= 4;
-          if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        // The tracer only \u-escapes control bytes; anything else is
-        // replaced rather than decoded (analysis never needs it).
-        out->push_back(v < 0x80 ? static_cast<char>(v) : '?');
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return false;  // unterminated
-}
-
-bool ParseInt(Cursor* c, int64_t* out) {
-  bool neg = c->Eat('-');
-  if (c->done() || c->peek() < '0' || c->peek() > '9') return false;
-  uint64_t v = 0;
-  while (!c->done() && c->peek() >= '0' && c->peek() <= '9') {
-    v = v * 10 + static_cast<uint64_t>(c->s[c->i++] - '0');
-  }
-  *out = neg ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
-  return true;
-}
-
-/// Captures a balanced object/array (string-aware) as raw text.
-bool ParseRawValue(Cursor* c, std::string* out) {
-  size_t start = c->i;
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  while (!c->done()) {
-    char ch = c->s[c->i++];
-    if (in_string) {
-      if (escaped) escaped = false;
-      else if (ch == '\\') escaped = true;
-      else if (ch == '"') in_string = false;
-      continue;
-    }
-    if (ch == '"') in_string = true;
-    else if (ch == '{' || ch == '[') ++depth;
-    else if (ch == '}' || ch == ']') {
-      if (--depth == 0) {
-        *out = c->s.substr(start, c->i - start);
-        return true;
-      }
-      if (depth < 0) return false;
-    }
-  }
-  return false;
-}
-
-// --- report formatting -----------------------------------------------------
 
 std::string Percent(TimeNs part, TimeNs whole) {
   char buf[32];
@@ -172,69 +69,6 @@ void TraceAnalysis::AddRecords(const std::vector<TraceRecord>& records,
   built_ = false;
 }
 
-bool TraceAnalysis::ParseJsonLines(std::istream& is, std::string* error) {
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    Cursor c{line};
-    auto fail = [&](const char* what) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": " + what;
-      }
-      return false;
-    };
-    if (!c.Eat('{')) return fail("expected object");
-    TraceRecord rec;
-    std::string ph;
-    bool first = true;
-    for (;;) {
-      if (c.Eat('}')) break;
-      if (!first && !c.Eat(',')) return fail("expected ','");
-      first = false;
-      std::string key;
-      if (!ParseString(&c, &key)) return fail("expected key");
-      if (!c.Eat(':')) return fail("expected ':'");
-      if (c.done()) return fail("truncated line");
-      if (c.peek() == '"') {
-        std::string val;
-        if (!ParseString(&c, &val)) return fail("bad string value");
-        if (key == "ph") ph = val;
-        else if (key == "cat") rec.cat = val;
-        else if (key == "name") rec.name = val;
-      } else if (c.peek() == '{' || c.peek() == '[') {
-        std::string raw;
-        if (!ParseRawValue(&c, &raw)) return fail("unbalanced value");
-        if (key == "args") rec.args = raw;
-      } else {
-        int64_t v = 0;
-        if (!ParseInt(&c, &v)) return fail("bad number");
-        if (key == "ts") rec.time = v;
-        else if (key == "id") rec.id = static_cast<uint64_t>(v);
-        else if (key == "trace") rec.trace_id = static_cast<uint64_t>(v);
-        else if (key == "parent") rec.parent_id = static_cast<uint64_t>(v);
-        else if (key == "track") rec.track = static_cast<uint32_t>(v);
-        else if (key == "depth") rec.depth = static_cast<uint32_t>(v);
-      }
-    }
-    if (ph == "B") rec.phase = TracePhase::kSpanBegin;
-    else if (ph == "E") rec.phase = TracePhase::kSpanEnd;
-    else if (ph == "i") rec.phase = TracePhase::kInstant;
-    else if (ph == "M") {
-      if (rec.name == "trace_metadata") {
-        dropped_ += ArgValue(rec.args, "dropped");
-      }
-      continue;  // metadata is not a record
-    } else {
-      return fail("unknown ph");
-    }
-    records_.push_back(std::move(rec));
-  }
-  built_ = false;
-  return true;
-}
-
 void TraceAnalysis::Build() {
   spans_.clear();
   span_index_.clear();
@@ -281,7 +115,10 @@ void TraceAnalysis::Build() {
   built_ = true;
 }
 
-WellFormedness TraceAnalysis::Check() const {
+WellFormedness TraceAnalysis::Check() const { return Check(Breakdowns()); }
+
+WellFormedness TraceAnalysis::Check(
+    const std::vector<RequestBreakdown>& breakdowns) const {
   WellFormedness wf;
   wf.spans = spans_.size();
   wf.instants = instants_;
@@ -345,6 +182,21 @@ WellFormedness TraceAnalysis::Check() const {
       ++wf.multi_root_traces;
       note("trace " + std::to_string(trace) + " has " +
            std::to_string(roots) + " roots");
+    }
+  }
+  // The accounting invariant behind every number in the report: a
+  // request's critical-path times partition its root span, so per layer
+  // and per hop they sum to the end-to-end latency exactly.
+  for (const RequestBreakdown& bd : breakdowns) {
+    TimeNs layer_sum = 0;
+    for (const auto& [cat, ns] : bd.by_layer) layer_sum += ns;
+    TimeNs hop_sum = 0;
+    for (const auto& [track, ns] : bd.by_hop) hop_sum += ns;
+    if (layer_sum != bd.latency || hop_sum != bd.latency) {
+      ++wf.inexact_sums;
+      note("trace " + std::to_string(bd.trace_id) + " breakdown sums (layer=" +
+           std::to_string(layer_sum) + ", hop=" + std::to_string(hop_sum) +
+           ") != latency " + std::to_string(bd.latency));
     }
   }
   return wf;
@@ -464,7 +316,8 @@ std::map<std::string, BreakdownAggregate> TraceAnalysis::Aggregate(
 
 std::string TraceAnalysis::TextReport() const {
   std::ostringstream os;
-  WellFormedness wf = Check();
+  std::vector<RequestBreakdown> bds = Breakdowns();
+  WellFormedness wf = Check(bds);
   os << "== trace well-formedness ==\n";
   os << "traces: " << wf.traces << "  spans: " << wf.spans
      << "  instants: " << wf.instants << "  dropped: " << wf.dropped << "\n";
@@ -475,7 +328,6 @@ std::string TraceAnalysis::TextReport() const {
      << "  async_children: " << wf.async_children << "\n";
   os << "status: " << (wf.ok() ? "OK" : "PROBLEMS") << "\n";
   for (const std::string& p : wf.problems) os << "  ! " << p << "\n";
-  std::vector<RequestBreakdown> bds = Breakdowns();
   for (const auto& [label, agg] : Aggregate(bds)) {
     os << "\n";
     AppendAggregate(os, label, agg);

@@ -2,7 +2,6 @@
 #define DMRPC_OBS_TRACE_ANALYSIS_H_
 
 #include <cstdint>
-#include <istream>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,30 +29,34 @@ struct SpanNode {
   TimeNs duration() const { return end - start; }
 };
 
-/// Structural verdict on a span forest. A healthy trace dump has every
-/// begun span closed, every non-root span's parent present in the same
-/// trace, exactly one root per trace, and every child interval nested
-/// inside its parent's interval in virtual time -- except detached
+/// Verdict on a span forest. A healthy trace has every begun span
+/// closed, every non-root span's parent present in the same trace,
+/// exactly one root per trace, and every child interval nested inside
+/// its parent's interval in virtual time -- except detached
 /// continuations (work spawned off the request path, e.g. a deferred
 /// Ref release), which begin at or after their parent's end and are
-/// counted separately in `async_children`.
+/// counted separately in `async_children`. Every request's breakdown
+/// also sums exactly to its latency, per layer and per hop.
 struct WellFormedness {
   size_t traces = 0;
   size_t spans = 0;
   size_t instants = 0;
   size_t unclosed = 0;
-  size_t orphans = 0;           // parent id names no span in the dump
+  size_t orphans = 0;           // parent id names no span in the trace
   size_t cross_trace = 0;       // parent exists but in a different trace
   size_t multi_root_traces = 0; // traces with != 1 root span
   size_t interval_violations = 0;
   size_t async_children = 0;    // follow-up spans (start >= parent end)
-  size_t dropped = 0;           // from the dump's metadata line
+  size_t dropped = 0;           // records the tracer shed (AddRecords)
+  size_t inexact_sums = 0;      // breakdowns whose layer or hop times do
+                                // not sum to their latency
   /// Human-readable descriptions of the first few problems found.
   std::vector<std::string> problems;
 
   bool ok() const {
     return unclosed == 0 && orphans == 0 && cross_trace == 0 &&
-           multi_root_traces == 0 && interval_violations == 0 && dropped == 0;
+           multi_root_traces == 0 && interval_violations == 0 &&
+           dropped == 0 && inexact_sums == 0;
   }
 };
 
@@ -86,22 +89,17 @@ struct BreakdownAggregate {
   uint64_t copied_bytes = 0;
 };
 
-/// Reconstructs span trees from a trace (in-memory records or a JSONL
-/// dump), verifies their structure, and computes critical-path latency
-/// breakdowns. Deterministic by construction: identical inputs produce
-/// byte-identical reports.
+/// Reconstructs span trees from the tracer's in-memory records, verifies
+/// their structure, and computes critical-path latency breakdowns.
+/// Deterministic by construction: identical inputs produce byte-identical
+/// reports.
 class TraceAnalysis {
  public:
-  /// Ingests the tracer's in-memory records directly (bench sidecars).
-  /// `dropped` is the tracer's shed-record count; a nonzero value marks
-  /// the analysis as operating on a truncated trace.
+  /// Ingests the tracer's records. `dropped` is the tracer's shed-record
+  /// count; a nonzero value marks the analysis as operating on a
+  /// truncated trace.
   void AddRecords(const std::vector<TraceRecord>& records,
                   size_t dropped = 0);
-
-  /// Parses a WriteJsonLines dump. Returns false (with *error set) on a
-  /// line that is not one of the tracer's record shapes; unknown keys
-  /// are ignored so the format can grow.
-  bool ParseJsonLines(std::istream& is, std::string* error);
 
   /// Stitches begin/end records into SpanNodes and indexes the forest.
   /// Must be called after ingestion, before any query below.
@@ -112,7 +110,8 @@ class TraceAnalysis {
 
   /// Structural checks over the whole forest (spans with trace_id 0 --
   /// background activity outside any request -- are exempt from the
-  /// per-trace checks but still checked for closure).
+  /// per-trace checks but still checked for closure), plus the exact-sum
+  /// check over Breakdowns().
   WellFormedness Check() const;
 
   /// One breakdown per trace that has exactly one closed root span.
@@ -124,8 +123,8 @@ class TraceAnalysis {
       const std::vector<RequestBreakdown>& breakdowns);
 
   /// The full text report: well-formedness summary, aggregate tables,
-  /// and per-layer critical-path percentages. Byte-stable for identical
-  /// inputs.
+  /// and per-layer critical-path percentages. Its `status:` line reads
+  /// OK exactly when Check() passes. Byte-stable for identical inputs.
   std::string TextReport() const;
 
   /// Reads an integer value for `key` out of a span's recorded JSON args
@@ -134,6 +133,8 @@ class TraceAnalysis {
                            uint64_t fallback = 0);
 
  private:
+  /// Check() over breakdowns the caller already holds.
+  WellFormedness Check(const std::vector<RequestBreakdown>& breakdowns) const;
   void AttributeCriticalPath(size_t idx, TimeNs end, TimeNs floor,
                              RequestBreakdown* out) const;
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "net/config.h"
 #include "net/fabric.h"
 #include "net/topology.h"
+#include "obs/trace.h"
 #include "rpc/rpc.h"
 #include "rpc/wire.h"
 #include "sim/simulation.h"
@@ -122,7 +122,7 @@ struct ClosOutcome {
   uint64_t executed_events = 0;
   std::string metrics_json;
   uint64_t ok_calls = 0;
-  std::string trace_jsonl;
+  std::vector<obs::TraceRecord> trace;
 };
 
 ClosOutcome RunClosWorkload(uint64_t seed, bool traced) {
@@ -163,11 +163,7 @@ ClosOutcome RunClosWorkload(uint64_t seed, bool traced) {
   }
   out.executed_events = sim.executed_events();
   out.metrics_json = sim.DumpMetricsJson();
-  if (traced) {
-    std::ostringstream os;
-    sim.tracer().WriteJsonLines(os);
-    out.trace_jsonl = os.str();
-  }
+  if (traced) out.trace = sim.tracer().records();
   return out;
 }
 
@@ -188,11 +184,12 @@ TEST(DeterminismTest, TracedClosRerunsAreByteIdentical) {
   // The span stream is part of the contract too.
   ClosOutcome ta = RunClosWorkload(7, /*traced=*/true);
   ClosOutcome tb = RunClosWorkload(7, /*traced=*/true);
-  EXPECT_FALSE(ta.trace_jsonl.empty());
+  EXPECT_FALSE(ta.trace.empty());
   EXPECT_EQ(ta.executed_events, tb.executed_events);
   EXPECT_EQ(ta.ok_calls, tb.ok_calls);
   EXPECT_EQ(ta.metrics_json, tb.metrics_json);
-  EXPECT_EQ(ta.trace_jsonl, tb.trace_jsonl);
+  // Every field of every record: phase, time, ids, track, cat, name, args.
+  EXPECT_TRUE(ta.trace == tb.trace);
 }
 
 TEST(DeterminismTest, DifferentSeedsDiverge) {

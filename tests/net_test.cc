@@ -5,6 +5,8 @@
 #include "net/fabric.h"
 #include "net/nic.h"
 #include "net/packet.h"
+#include "obs/trace_analysis.h"
+#include "packet_stages.h"
 #include "sim/simulation.h"
 #include "uniform_loss.h"
 
@@ -154,12 +156,7 @@ TEST(FabricDeterminismTest, IdenticalRunsProduceIdenticalTimelines) {
     loss.Schedule(UniformLoss(&fabric, 0.05, 1 * kSecond));
     sim::Channel<Packet> inbox;
     fabric.nic(2)->BindPort(9, &inbox);
-    // The loss window's end keeps the clock running past the traffic, so
-    // compare the last delivery instant rather than the final clock.
-    TimeNs last_delivery = 0;
-    fabric.set_trace_sink([&](const TraceEvent& ev) {
-      if (ev.stage == TraceStage::kDelivered) last_delivery = ev.time;
-    });
+    sim.tracer().set_enabled(true);
     sim.At(0, [&] {
       for (int i = 0; i < 200; ++i) {
         fabric.nic(0)->Send(MakePacket(0, 2, 1, 9, 128));
@@ -167,6 +164,13 @@ TEST(FabricDeterminismTest, IdenticalRunsProduceIdenticalTimelines) {
       }
     });
     sim.Run();
+    // The loss window's end keeps the clock running past the traffic, so
+    // compare the last delivery instant rather than the final clock.
+    TimeNs last_delivery = 0;
+    for (const obs::TraceRecord& ev :
+         PacketStages(sim.tracer(), TraceStage::kDelivered)) {
+      last_delivery = ev.time;
+    }
     return std::make_tuple(last_delivery, sim.executed_events(),
                            fabric.switch_stats().dropped_fault);
   };
@@ -174,22 +178,26 @@ TEST(FabricDeterminismTest, IdenticalRunsProduceIdenticalTimelines) {
 }
 
 TEST_F(FabricTest, TraceSeesEveryStageInOrder) {
-  std::vector<TraceEvent> events;
-  fabric_.set_trace_sink([&](const TraceEvent& ev) { events.push_back(ev); });
+  using obs::TraceAnalysis;
+  sim_.tracer().set_enabled(true);
   sim::Channel<Packet> inbox;
   fabric_.nic(1)->BindPort(80, &inbox);
   sim_.At(0, [&] { fabric_.nic(0)->Send(MakePacket(0, 1, 10, 80, 500)); });
   sim_.Run();
+  std::vector<obs::TraceRecord> events = PacketStages(sim_.tracer());
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].stage, TraceStage::kNicTx);
-  EXPECT_EQ(events[1].stage, TraceStage::kOnWire);
-  EXPECT_EQ(events[2].stage, TraceStage::kForwarded);
-  EXPECT_EQ(events[3].stage, TraceStage::kDelivered);
-  for (const TraceEvent& ev : events) {
-    EXPECT_EQ(ev.packet_id, events[0].packet_id);
-    EXPECT_EQ(ev.src, 0u);
-    EXPECT_EQ(ev.dst, 1u);
-    EXPECT_EQ(ev.bytes, 500u);
+  EXPECT_EQ(events[0].name, PacketStageName(TraceStage::kNicTx));
+  EXPECT_EQ(events[1].name, PacketStageName(TraceStage::kOnWire));
+  EXPECT_EQ(events[2].name, PacketStageName(TraceStage::kForwarded));
+  EXPECT_EQ(events[3].name, PacketStageName(TraceStage::kDelivered));
+  uint64_t packet_id = TraceAnalysis::ArgValue(events[0].args, "pkt");
+  EXPECT_NE(packet_id, 0u);  // ids start at 1
+  for (const obs::TraceRecord& ev : events) {
+    EXPECT_EQ(TraceAnalysis::ArgValue(ev.args, "pkt"), packet_id);
+    // A missing arg reads as the fallback, so node 0 needs a nonzero one.
+    EXPECT_EQ(TraceAnalysis::ArgValue(ev.args, "src", 99), 0u);
+    EXPECT_EQ(TraceAnalysis::ArgValue(ev.args, "dst"), 1u);
+    EXPECT_EQ(TraceAnalysis::ArgValue(ev.args, "bytes"), 500u);
   }
   // Latency decomposition: NIC overhead + serialization to the wire,
   // propagation + egress serialization to forwarding, switch latency +
@@ -202,15 +210,15 @@ TEST_F(FabricTest, TraceSeesEveryStageInOrder) {
 }
 
 TEST_F(FabricTest, TraceReportsDrops) {
-  std::vector<TraceEvent> events;
-  fabric_.set_trace_sink([&](const TraceEvent& ev) { events.push_back(ev); });
+  sim_.tracer().set_enabled(true);
   fabric_.set_drop_filter([](const Packet&) { return true; });
   sim::Channel<Packet> inbox;
   fabric_.nic(1)->BindPort(80, &inbox);
   sim_.At(0, [&] { fabric_.nic(0)->Send(MakePacket(0, 1, 10, 80, 64)); });
   sim_.Run();
+  std::vector<obs::TraceRecord> events = PacketStages(sim_.tracer());
   ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events.back().stage, TraceStage::kDropped);
+  EXPECT_EQ(events.back().name, PacketStageName(TraceStage::kDropped));
 }
 
 TEST_F(FabricTest, TraceStageNamesAreStable) {

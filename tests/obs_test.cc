@@ -144,27 +144,20 @@ TEST(TracerTest, SpanNestingDepths) {
   uint64_t outer = t.BeginSpan("rpc", "rpc.call", 100, /*track=*/3);
   uint64_t mid = t.BeginSpan("rpc", "rpc.handler", 110, 3);
   uint64_t inner = t.BeginSpan("net", "net.nic_tx", 120, 3);
-  // A span on another track nests independently.
+  // A span on another track, opened inside the others and closed last.
   uint64_t other = t.BeginSpan("net", "net.nic_tx", 125, 9);
-  EXPECT_EQ(t.OpenDepth(3), 3u);
-  EXPECT_EQ(t.OpenDepth(9), 1u);
   t.EndSpan(inner, 130);
   t.EndSpan(mid, 140);
-  EXPECT_EQ(t.OpenDepth(3), 1u);
   t.EndSpan(outer, 150);
   t.EndSpan(other, 155);
-  EXPECT_EQ(t.OpenDepth(3), 0u);
-  EXPECT_EQ(t.OpenDepth(9), 0u);
+  EXPECT_EQ(t.open_span_count(), 0u);
 
-  // Begin records carry the nesting depth at open time.
   ASSERT_EQ(t.records().size(), 8u);
-  EXPECT_EQ(t.records()[0].depth, 0u);  // outer
-  EXPECT_EQ(t.records()[1].depth, 1u);  // mid
-  EXPECT_EQ(t.records()[2].depth, 2u);  // inner
-  EXPECT_EQ(t.records()[3].depth, 0u);  // other track starts at 0
-  // Ends pair by id, not order.
+  // Ends pair by id, not order, and land on their begin's track.
   EXPECT_EQ(t.records()[4].phase, TracePhase::kSpanEnd);
   EXPECT_EQ(t.records()[4].id, inner);
+  EXPECT_EQ(t.records()[7].id, other);
+  EXPECT_EQ(t.records()[7].track, 9u);
 }
 
 TEST(TracerTest, LimitDropsAndCounts) {
@@ -179,24 +172,6 @@ TEST(TracerTest, LimitDropsAndCounts) {
   t.Clear();
   EXPECT_TRUE(t.records().empty());
   EXPECT_EQ(t.dropped(), 0u);
-}
-
-TEST(TracerTest, JsonLinesOneObjectPerRecord) {
-  Tracer t;
-  t.set_enabled(true);
-  uint64_t id = t.BeginSpan("rpc", "rpc.call", 1000, 0, "{\"req\":1}");
-  t.Instant("dm", "dm.fault", 1500, 2);
-  t.EndSpan(id, 2000);
-  std::ostringstream os;
-  t.WriteJsonLines(os);
-  std::string out = os.str();
-  int lines = 0;
-  for (char c : out) lines += c == '\n';
-  EXPECT_EQ(lines, 4);  // 3 records + trailing metadata line
-  EXPECT_NE(out.find("\"name\":\"rpc.call\""), std::string::npos);
-  EXPECT_NE(out.find("\"name\":\"dm.fault\""), std::string::npos);
-  EXPECT_NE(out.find("{\"req\":1}"), std::string::npos);
-  EXPECT_NE(out.find("\"dropped\":0"), std::string::npos);
 }
 
 TEST(TracerTest, ChromeTraceExportsCompleteEvents) {

@@ -17,6 +17,7 @@
 #include "net/nic.h"
 #include "net/packet.h"
 #include "net/topology.h"
+#include "packet_stages.h"
 #include "rpc/rpc.h"
 #include "sim/simulation.h"
 
@@ -135,15 +136,16 @@ class ClosPathTest : public ::testing::Test {
       : sim_(3), fabric_(&sim_, NetworkConfig{}, TopologyConfig::Clos(8, 2, 2, 0)) {}
 
   TimeNs DeliveredAt(NodeId src, NodeId dst, size_t bytes) {
-    TimeNs delivered = -1;
-    fabric_.set_trace_sink([&](const TraceEvent& ev) {
-      if (ev.stage == TraceStage::kDelivered) delivered = ev.time;
-    });
+    sim_.tracer().set_enabled(true);
     sim::Channel<Packet> inbox;
     fabric_.nic(dst)->BindPort(80, &inbox);
     sim_.At(0, [&] { fabric_.nic(src)->Send(MakePacket(src, dst, 10, 80, bytes)); });
     sim_.Run();
-    fabric_.set_trace_sink(nullptr);
+    TimeNs delivered = -1;
+    for (const obs::TraceRecord& ev :
+         PacketStages(sim_.tracer(), TraceStage::kDelivered)) {
+      delivered = ev.time;
+    }
     fabric_.nic(dst)->UnbindPort(80);
     EXPECT_TRUE(inbox.TryPop().has_value());
     return delivered;
@@ -368,13 +370,13 @@ TEST(SingleTorFabricTest, SwitchDownDropsArrivalsAndBufferedPackets) {
       fabric.nic(0)->Send(MakePacket(0, 1, 10, 80, 4000));
     }
   });
-  int delivered_after_up = 0;
-  fabric.set_trace_sink([&](const TraceEvent& ev) {
-    if (ev.stage == TraceStage::kDelivered && ev.time > up_at) {
-      delivered_after_up++;
-    }
-  });
+  sim.tracer().set_enabled(true);
   sim.Run();
+  int delivered_after_up = 0;
+  for (const obs::TraceRecord& ev :
+       PacketStages(sim.tracer(), TraceStage::kDelivered)) {
+    if (ev.time > up_at) delivered_after_up++;
+  }
   const SwitchStats& st = fabric.switch_stats();
   uint64_t sent = 3 * kPerSender + kAfterRecovery;
   uint64_t enqueued = PortEnqueuedSum(fabric);
