@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "apps/bytes.h"
 #include "common/logging.h"
 #include "core/payload.h"
 
@@ -15,16 +16,26 @@ using rpc::ReqContext;
 namespace {
 constexpr uint32_t kAuthToken = 0xfeedbeef;
 
+// The codec loops run over raw pointers: indexing the vectors directly
+// makes GCC reload their internals after every byte store and keeps both
+// loops scalar.
+
 /// "Transcoding": every byte re-encoded (here: +1 mod 256), same size.
 void TranscodeBytes(const std::vector<uint8_t>& in, std::vector<uint8_t>* out) {
-  out->resize(in.size());
-  for (size_t i = 0; i < in.size(); ++i) (*out)[i] = in[i] + 1;
+  const size_t n = in.size();
+  out->resize(n);
+  const uint8_t* src = in.data();
+  uint8_t* dst = out->data();
+  for (size_t i = 0; i < n; ++i) dst[i] = src[i] + 1;
 }
 
 /// "Compressing": 2:1 reduction (every other byte).
 void CompressBytes(const std::vector<uint8_t>& in, std::vector<uint8_t>* out) {
-  out->resize(in.size() / 2);
-  for (size_t i = 0; i < out->size(); ++i) (*out)[i] = in[2 * i];
+  const size_t n = in.size() / 2;
+  out->resize(n);
+  const uint8_t* src = in.data();
+  uint8_t* dst = out->data();
+  for (size_t i = 0; i < n; ++i) dst[i] = src[2 * i];
 }
 
 MsgBuffer ErrorResp() {
@@ -159,9 +170,7 @@ sim::Task<StatusOr<uint64_t>> ImagePipelineApp::DoRequest(
   uint64_t rid = next_request_id_++;
   Op op = (rid % 2 == 0) ? Op::kTranscode : Op::kCompress;
   std::vector<uint8_t> image(image_bytes);
-  for (uint32_t i = 0; i < image_bytes; ++i) {
-    image[i] = static_cast<uint8_t>(rid * 7 + i);
-  }
+  FillPattern(image.data(), image.size(), rid * 7);
   auto payload = co_await client->dmrpc()->MakePayload(image);
   if (!payload.ok()) co_return payload.status();
 

@@ -1,8 +1,8 @@
 #include "apps/nested_chain.h"
 
-#include <numeric>
 #include <utility>
 
+#include "apps/bytes.h"
 #include "common/logging.h"
 #include "core/payload.h"
 #include "obs/trace.h"
@@ -18,22 +18,6 @@ namespace {
 /// CPU cost of the tail service aggregating the array (a simple sum):
 /// ~0.3 ns/byte of streaming arithmetic.
 constexpr double kAggregateNsPerKb = 300.0;
-
-uint64_t SumBytes(const std::vector<uint8_t>& data) {
-  uint64_t sum = 0;
-  for (uint8_t b : data) sum += b;
-  return sum;
-}
-
-/// Sums a slice chain in place -- the aggregate walks the fetched slabs
-/// directly instead of flattening them first.
-uint64_t SumChain(const rpc::MsgBuffer& data) {
-  uint64_t sum = 0;
-  for (const sim::BufSlice& seg : data.segments()) {
-    for (size_t i = 0; i < seg.size(); ++i) sum += seg.data()[i];
-  }
-  return sum;
-}
 }  // namespace
 
 NestedChainApp::NestedChainApp(msvc::Cluster* cluster, int chain_len,
@@ -89,7 +73,8 @@ void NestedChainApp::InstallAggregator(ServiceEndpoint* ep) {
           co_return resp;
         }
         co_await ep->ComputeBytes(data->size(), kAggregateNsPerKb);
-        uint64_t sum = SumChain(*data);
+        // The aggregate walks the fetched slabs in place.
+        uint64_t sum = SumBytes(*data);
         // Final consumer drops the Ref share (off the response path).
         ep->Detach(ep->dmrpc()->Release(payload));
         resp.Append<uint8_t>(0);
@@ -123,11 +108,8 @@ sim::Task<StatusOr<uint64_t>> NestedChainApp::DoRequest(
 sim::Task<StatusOr<uint64_t>> NestedChainApp::DoRequestInner(
     ServiceEndpoint* client, uint32_t arg_bytes) {
   std::vector<uint8_t> data(arg_bytes);
-  uint64_t fill = next_fill_++;
-  for (uint32_t i = 0; i < arg_bytes; ++i) {
-    data[i] = static_cast<uint8_t>(fill + i);
-  }
-  uint64_t expected = SumBytes(data);
+  FillPattern(data.data(), data.size(), next_fill_++);
+  uint64_t expected = SumBytes(data.data(), data.size());
 
   auto payload = co_await client->dmrpc()->MakePayload(data);
   if (!payload.ok()) co_return payload.status();

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "apps/bytes.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "sim/sync.h"
@@ -388,9 +389,7 @@ sim::Task<StatusOr<uint64_t>> SocialNetApp::DoRequestInner(
   req.Append<uint32_t>(user);
   if (kind == ReqKind::kComposePost) {
     std::vector<uint8_t> media(cfg_.media_bytes);
-    for (uint32_t i = 0; i < cfg_.media_bytes; ++i) {
-      media[i] = static_cast<uint8_t>(user + i);
-    }
+    FillPattern(media.data(), media.size(), user);
     auto payload = co_await client->dmrpc()->MakePayload(media);
     if (!payload.ok()) co_return payload.status();
     payload->EncodeTo(&req);

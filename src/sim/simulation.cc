@@ -1,5 +1,7 @@
 #include "sim/simulation.h"
 
+#include <limits>
+
 #include "common/logging.h"
 
 namespace dmrpc::sim {
@@ -150,6 +152,9 @@ void DelayAwaiter::await_suspend(std::coroutine_handle<> h) const {
   Simulation* sim = Simulation::Current();
   DMRPC_CHECK(sim != nullptr) << "Delay awaited outside a simulation";
   TimeNs d = delay < 0 ? 0 : delay;
+  // Same overflow-safe check as After(): Now() + d must not overflow.
+  DMRPC_CHECK_LE(d, std::numeric_limits<TimeNs>::max() - sim->Now())
+      << "Delay() overflows the virtual clock (delay=" << delay << ")";
   sim->ScheduleHandle(sim->Now() + d, h);
 }
 

@@ -216,6 +216,7 @@ struct DelayAwaiter {
 };
 
 /// co_await Delay(ns): suspend the current task for `ns` virtual time.
+/// Like After(), a delay that would overflow the clock is a fatal check.
 inline DelayAwaiter Delay(TimeNs ns) { return DelayAwaiter{ns}; }
 
 }  // namespace dmrpc::sim

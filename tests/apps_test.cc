@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "apps/block_storage.h"
+#include "apps/bytes.h"
 #include "apps/image_pipeline.h"
 #include "apps/load_balancer.h"
 #include "apps/nested_chain.h"
@@ -344,6 +345,80 @@ INSTANTIATE_TEST_SUITE_P(Backends, AppsBackendTest,
                          ::testing::Values(Backend::kErpc, Backend::kDmNet,
                                            Backend::kDmCxl),
                          BackendTestName);
+
+// The byte kernels checked against naive references kept here. Client and
+// aggregator share SumBytes, so a bug that hits both sides alike would
+// still let NestedChainDeliversCorrectSum pass; these tests catch it.
+
+uint64_t NaiveSum(const uint8_t* p, size_t n) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += p[i];
+  return sum;
+}
+
+/// Deterministic bytes covering the full 0..255 range.
+std::vector<uint8_t> MixedBytes(size_t n) {
+  std::vector<uint8_t> v(n);
+  uint32_t x = 12345;
+  for (uint8_t& b : v) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  return v;
+}
+
+TEST(ByteKernelTest, FillMatchesNaivePatternAcrossTheByteWrap) {
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{200},
+                        uint64_t{255}, uint64_t{256}, uint64_t{1000},
+                        ~uint64_t{0} - 5}) {
+    for (size_t n : {0u, 1u, 17u, 256u, 300u, 4099u}) {
+      // One guard byte on each side, and an odd start offset.
+      std::vector<uint8_t> buf(n + 3, 0xAB);
+      FillPattern(buf.data() + 1, n, seed);
+      EXPECT_EQ(buf[0], 0xAB);
+      EXPECT_EQ(buf[n + 1], 0xAB) << "seed " << seed << " n " << n;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(buf[1 + i], static_cast<uint8_t>(seed + i))
+            << "seed " << seed << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(ByteKernelTest, SumMatchesNaiveSumAtEveryLengthAndAlignment) {
+  const std::vector<size_t> lengths = {0,   1,   15,   16,   255,
+                                       256, 257, 4095, 65539};
+  std::vector<uint8_t> mixed = MixedBytes(65539 + 16);
+  // All 0xFF is the 16-bit block accumulator's worst case.
+  std::vector<uint8_t> ones(65539 + 16, 0xFF);
+  for (const std::vector<uint8_t>* buf : {&mixed, &ones}) {
+    for (size_t offset : {0u, 1u, 3u, 7u}) {
+      for (size_t n : lengths) {
+        const uint8_t* p = buf->data() + offset;
+        EXPECT_EQ(SumBytes(p, n), NaiveSum(p, n))
+            << "n " << n << " offset " << offset;
+      }
+    }
+  }
+}
+
+TEST(ByteKernelTest, MultiSliceBufferSumsToItsFlattenedSum) {
+  for (const std::vector<uint8_t>& bytes :
+       {MixedBytes(20000), std::vector<uint8_t>(20000, 0xFF)}) {
+    rpc::MsgBuffer src(bytes);
+    // Odd slice sizes: slices that end mid-block and straddle slabs.
+    rpc::MsgBuffer chain;
+    size_t pos = 0;
+    for (size_t len : {1u, 3u, 255u, 257u, 511u, 4097u, 7u, 9999u}) {
+      chain.AppendRangeOf(src, pos, len);
+      pos += len;
+    }
+    ASSERT_GE(chain.segments().size(), 8u);
+    std::vector<uint8_t> flat = chain.CopyBytes();
+    ASSERT_EQ(flat.size(), pos);
+    EXPECT_EQ(SumBytes(chain), NaiveSum(flat.data(), flat.size()));
+  }
+}
 
 }  // namespace
 }  // namespace dmrpc::apps

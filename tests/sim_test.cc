@@ -154,6 +154,16 @@ TEST(SimulationDeathTest, AfterOverflowingTheClockIsFatal) {
                "overflows the virtual clock");
 }
 
+TEST(SimulationDeathTest, DelayOverflowingTheClockIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Simulation sim;
+  sim.At(100, [] {});
+  sim.Run();
+  TimeNs when = -1;
+  sim.Spawn(DelayTask(std::numeric_limits<TimeNs>::max(), &when));
+  EXPECT_DEATH(sim.Run(), "overflows the virtual clock");
+}
+
 TEST(SimulationTest, AfterClampsNegativeDelayToNow) {
   // Negative delays clamp to zero (same policy as Delay()): the callback
   // runs at the current instant, after already-queued same-time work.
